@@ -402,7 +402,6 @@ def run_campaign(
     workers: int = 1,
     chunk_size: int | None = None,
     on_exhausted: str = "serial",
-    backend: str = "scalar",
     checkpoint: str | None = None,
     resume: bool = False,
     checkpoint_meta: dict | None = None,
@@ -420,32 +419,23 @@ def run_campaign(
     ``runs`` is empty (full :class:`ScenarioRun` objects — live clusters
     and services — do not cross process boundaries).  Parallel execution
     requires every scenario to come from :data:`CATALOGUE`.
-
-    ``backend="batched"`` routes the grid through the runner's batched
-    chunk executor (catalogue cells carry no SoA encoding, so the
-    generic :class:`~repro.runtime.batch.SequentialBatchTask` pack is
-    used: one payload pickle per chunk, identical aggregates).
     """
     specs = [
         (scenario.name, seed) for seed in seeds for scenario in scenarios
     ]
     if (
-        checkpoint is not None
-        or store is not None
-        or live_log is not None
-        or backend != "scalar"
+        checkpoint is not None or store is not None or live_log is not None
     ) and workers <= 1:
         # The serial fast path below keeps live ScenarioRun objects and
         # bypasses the runner; checkpointing needs the runner's chunked
-        # ledger, the columnar store its post-reduce write hook, live
-        # telemetry its lifecycle events, and a non-default backend its
-        # chunk executor, so route through it.
+        # ledger, the columnar store its post-reduce write hook and live
+        # telemetry its lifecycle events, so route through it.
         workers = 1
         catalogue_names = {s.name for s in CATALOGUE}
         unknown = {name for name, _ in specs} - catalogue_names
         if unknown:
             raise AnalysisError(
-                "checkpointed or batched campaigns only support catalogue "
+                "checkpointed campaigns only support catalogue "
                 f"scenarios; unknown: {sorted(unknown)!r}"
             )
         runner = ParallelCampaignRunner(
@@ -454,7 +444,6 @@ def run_campaign(
             workers=1,
             chunk_size=chunk_size,
             on_exhausted=on_exhausted,
-            backend=backend,
         )
         outcome = runner.run(
             specs,
@@ -492,7 +481,6 @@ def run_campaign(
             workers=workers,
             chunk_size=chunk_size,
             on_exhausted=on_exhausted,
-            backend=backend,
         )
         outcome = runner.run(
             specs,

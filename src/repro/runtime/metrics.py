@@ -18,7 +18,8 @@ from typing import Any
 #: RunMetrics dict-layout version.  Consumers that parse ``to_dict()``
 #: payloads (``--metrics-json`` files, live-log ``run_finished`` records,
 #: ``repro monitor`` summaries) key tolerant parsing off this field.
-METRICS_SCHEMA_VERSION = 1
+#: v2 dropped v1's ``backend`` key; v1 payloads still load.
+METRICS_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,9 +57,6 @@ class RunMetrics:
         Replicas loaded from a checkpoint ledger instead of executed;
         their compute happened in a previous process, so they are
         excluded from ``events_simulated`` and busy-time accounting.
-    backend:
-        Execution backend that produced the run (``"scalar"`` or
-        ``"batched"``; see :mod:`repro.runtime.batch`).
     worker_busy_s:
         Cumulative in-replica compute time attributed to each worker
         (keyed by worker label, e.g. ``"pid-1234"`` or ``"serial"``).
@@ -79,7 +77,6 @@ class RunMetrics:
     leaked_worker_pids: tuple[int, ...] = ()
     replicas_failed: int = 0
     replicas_resumed: int = 0
-    backend: str = "scalar"
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form (JSON-safe scalars only)."""
@@ -102,7 +99,6 @@ class RunMetrics:
             "leaked_worker_pids": list(self.leaked_worker_pids),
             "replicas_failed": self.replicas_failed,
             "replicas_resumed": self.replicas_resumed,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -111,13 +107,14 @@ class RunMetrics:
 
         Round-trips exactly (up to ``to_dict``'s documented rounding):
         ``RunMetrics.from_dict(m.to_dict()).to_dict() == m.to_dict()``.
-        Unknown schema versions raise rather than misparse.
+        v1 payloads load too; their ``backend`` key is ignored.  Unknown
+        schema versions raise rather than misparse.
         """
         schema = data.get("schema", METRICS_SCHEMA_VERSION)
-        if schema != METRICS_SCHEMA_VERSION:
+        if schema not in (1, METRICS_SCHEMA_VERSION):
             raise ValueError(
                 f"unsupported RunMetrics schema {schema!r} "
-                f"(this build reads v{METRICS_SCHEMA_VERSION})"
+                f"(this build reads v1 and v{METRICS_SCHEMA_VERSION})"
             )
         return cls(
             replicas=int(data["replicas"]),
@@ -140,7 +137,6 @@ class RunMetrics:
             ),
             replicas_failed=int(data.get("replicas_failed", 0)),
             replicas_resumed=int(data.get("replicas_resumed", 0)),
-            backend=str(data.get("backend", "scalar")),
         )
 
     def to_json(self, *, indent: int = 2) -> str:
@@ -167,7 +163,6 @@ class RunMetrics:
         leaked_worker_pids: tuple[int, ...] = (),
         replicas_failed: int = 0,
         replicas_resumed: int = 0,
-        backend: str = "scalar",
     ) -> "RunMetrics":
         """Assemble the record from per-replica accounting."""
         total_events = int(sum(events))
@@ -187,5 +182,4 @@ class RunMetrics:
             leaked_worker_pids=tuple(leaked_worker_pids),
             replicas_failed=replicas_failed,
             replicas_resumed=replicas_resumed,
-            backend=backend,
         )

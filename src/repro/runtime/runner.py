@@ -60,6 +60,7 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait as wait_sentinels
 from pathlib import Path
 from typing import Any
 
@@ -83,12 +84,6 @@ FALLBACK_WORKER = "serial-fallback"
 
 #: Retry-exhaustion policies (see class docstring).
 EXHAUSTION_POLICIES = ("serial", "salvage")
-
-#: Execution backends: ``"scalar"`` runs one replica at a time through
-#: the task callable; ``"batched"`` hands whole chunks to a batch task
-#: that returns a single pack per chunk (see :mod:`repro.runtime.batch`).
-BACKENDS = ("scalar", "batched")
-
 
 @dataclass(frozen=True, slots=True)
 class ReplicaTask:
@@ -264,50 +259,6 @@ def _execute_chunk(
     return out
 
 
-def _execute_packed_chunk(
-    batch_task,
-    tasks: list[ReplicaTask],
-    worker_label: str | None = None,
-    capture_errors: bool = False,
-    heartbeat: str | None = None,
-    chunk_id: int = 0,
-):
-    """Run one chunk through a batch task; returns the task's pack.
-
-    The pack crosses the process boundary as a single pickle and is
-    unpacked in the parent (``pack.unpack()`` yields the same
-    ``list[ReplicaResult | ReplicaFailure]`` the scalar executor would
-    have produced), so ledger appends, retries and the reduce all
-    operate on identical shapes regardless of backend.  Top-level so
-    spawn can pickle it by reference.
-
-    Heartbeats are stamped at batch start and end only — the batch task
-    owns the whole chunk, so per-replica liveness is not observable from
-    here without changing the batch API; coarse liveness still bounds
-    stall detection to one chunk latency.
-    """
-    stamp = None
-    if heartbeat is not None:
-        from repro.obs.live import stamp_heartbeat as stamp
-
-        worker = (
-            worker_label if worker_label is not None else f"pid-{os.getpid()}"
-        )
-        stamp(
-            heartbeat, worker=worker, chunk=chunk_id, replicas_done=0, events=0
-        )
-    pack = batch_task(tasks, worker_label, capture_errors)
-    if stamp is not None:
-        stamp(
-            heartbeat,
-            worker=worker,
-            chunk=chunk_id,
-            replicas_done=len(tasks),
-            events=0,
-        )
-    return pack
-
-
 class ParallelCampaignRunner:
     """Deterministic map/reduce over independent simulation replicas.
 
@@ -348,23 +299,6 @@ class ParallelCampaignRunner:
         process; ``"salvage"`` returns a partial :class:`RunOutcome`
         carrying :class:`ReplicaFailure` records and a completeness
         report.
-    backend:
-        ``"scalar"`` (default) executes replicas one at a time through
-        ``task``.  ``"batched"`` hands each chunk (chunk = batch) to the
-        batch task, which returns one pack per chunk; the pack is
-        unpacked in the parent before ledger appends and the reduce, so
-        checkpoint/resume, retry and metrics semantics are unchanged —
-        including mid-batch resume, because already-completed replicas
-        are filtered out of a chunk *before* the batch task sees it.
-        The retry-exhaustion serial fallback always runs the scalar
-        task: after ``max_retries`` failed batches the reference path is
-        the diagnostic tool of choice.
-    batch_task:
-        Spawn-picklable ``batch_task(tasks, worker_label,
-        capture_errors) -> pack`` with ``pack.unpack() ->
-        list[ReplicaResult | ReplicaFailure]``.  Only meaningful with
-        ``backend="batched"``; defaults to wrapping ``task`` in
-        :class:`repro.runtime.batch.SequentialBatchTask`.
     stall_timeout_s:
         Live-telemetry runs only: a pooled chunk whose worker has not
         stamped a heartbeat for this long is suspected stalled and
@@ -394,8 +328,6 @@ class ParallelCampaignRunner:
         retry_backoff_s: float = 0.05,
         shutdown_timeout_s: float = 5.0,
         on_exhausted: str = "serial",
-        backend: str = "scalar",
-        batch_task: Callable[..., Any] | None = None,
         stall_timeout_s: float | None = 30.0,
         stall_poll_s: float = 1.0,
         straggler_factor: float = 4.0,
@@ -421,10 +353,6 @@ class ParallelCampaignRunner:
                 f"on_exhausted must be one of {EXHAUSTION_POLICIES}, "
                 f"got {on_exhausted!r}"
             )
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         if stall_timeout_s is not None and stall_timeout_s <= 0:
             raise ValueError(
                 f"stall_timeout_s must be > 0 or None, got {stall_timeout_s}"
@@ -437,17 +365,6 @@ class ParallelCampaignRunner:
             raise ValueError(
                 f"straggler_factor must be > 1, got {straggler_factor}"
             )
-        if batch_task is not None and backend != "batched":
-            raise ValueError(
-                "batch_task requires backend='batched' "
-                f"(got backend={backend!r})"
-            )
-        if backend == "batched" and batch_task is None:
-            from repro.runtime.batch import SequentialBatchTask
-
-            batch_task = SequentialBatchTask(task)
-        self.backend = backend
-        self.batch_task = batch_task
         self.task = task
         self.reduce = reduce
         self.workers = workers
@@ -541,7 +458,6 @@ class ParallelCampaignRunner:
                     retries=0,
                     events=[],
                     busy_by_worker={},
-                    backend=self.backend,
                 ),
             )
 
@@ -604,7 +520,6 @@ class ParallelCampaignRunner:
                 replicas_resumed=len(preloaded),
                 workers=self.workers,
                 chunk_size=chunk_size,
-                backend=self.backend,
                 command=meta.get("command"),
                 root_seed=int(root_seed),
             )
@@ -682,7 +597,6 @@ class ParallelCampaignRunner:
             leaked_worker_pids=tuple(sorted(leaked)),
             replicas_failed=len(failures),
             replicas_resumed=len(preloaded),
-            backend=self.backend,
         )
         values = [r.value for r in results]
         if not values:
@@ -765,9 +679,8 @@ class ParallelCampaignRunner:
         capture = self.on_exhausted == "salvage"
         for cid, chunk in enumerate(self._chunked(tasks, chunk_size)):
             # Drop already-completed replicas before the executor sees
-            # the chunk — for the batched backend this is what makes a
-            # mid-batch resume safe: the batch task only ever receives
-            # the replicas that still need to run.
+            # the chunk, so a mid-chunk resume runs only the replicas
+            # that still need to run.
             todo = [t for t in chunk if t.index not in preloaded]
             if not todo:
                 continue
@@ -775,15 +688,12 @@ class ParallelCampaignRunner:
                 monitor.chunk_submitted(
                     cid, [t.index for t in todo], attempt=1
                 )
-            if self.backend == "batched":
-                out = self.batch_task(todo, SERIAL_WORKER, capture).unpack()
-            else:
-                out = _execute_chunk(
-                    self.task,
-                    todo,
-                    worker_label=SERIAL_WORKER,
-                    capture_errors=capture,
-                )
+            out = _execute_chunk(
+                self.task,
+                todo,
+                worker_label=SERIAL_WORKER,
+                capture_errors=capture,
+            )
             fresh = [r for r in out if isinstance(r, ReplicaResult)]
             for r in out:
                 if isinstance(r, ReplicaFailure):
@@ -843,16 +753,6 @@ class ParallelCampaignRunner:
                         if monitor is not None
                         else None
                     )
-                    if self.backend == "batched":
-                        return executor.submit(
-                            _execute_packed_chunk,
-                            self.batch_task,
-                            chunk,
-                            None,
-                            True,
-                            hb,
-                            cid,
-                        )
                     return executor.submit(
                         _execute_chunk, self.task, chunk, None, True, hb, cid
                     )
@@ -889,12 +789,6 @@ class ParallelCampaignRunner:
                             # resubmission bug that tripped the lost-
                             # replicas guard).
                             continue
-                        if self.backend == "batched":
-                            # One pack per chunk crossed the boundary;
-                            # materialize the per-replica results here so
-                            # dedup, ledger appends and the reduce see
-                            # the exact scalar shapes.
-                            chunk_results = chunk_results.unpack()
                         # Pop before recording, and dedupe by replica
                         # index, so no interleaving of crash and
                         # completion can double-count a replica.  A
@@ -1055,16 +949,27 @@ class ParallelCampaignRunner:
 
         ``shutdown(wait=False, cancel_futures=True)`` alone can leave
         spawn workers alive while the next pool starts (they only exit
-        once they notice the closed call queue).  Join each worker with
-        a shared deadline and surface whoever is still alive so
-        :class:`RunMetrics` can report the leak instead of hiding it.
+        once they notice the closed call queue).  Wait for each worker's
+        exit with a shared deadline and surface whoever is still running
+        so :class:`RunMetrics` can report the leak instead of hiding it.
+
+        The wait is on the process sentinels, never ``join()`` or
+        ``is_alive()``: the executor's manager thread reaps the same
+        workers concurrently, and whichever ``waitpid`` loses that race
+        sees ``ECHILD``, after which ``is_alive()`` wrongly reports an
+        exited worker as running.  A sentinel becomes ready when the
+        worker exits, whoever reaps it.
         """
         procs = list((executor._processes or {}).values())
         executor.shutdown(wait=False, cancel_futures=True)
-        leaked: list[int] = []
+        running = {proc.sentinel: proc for proc in procs}
         deadline = time.monotonic() + self.shutdown_timeout_s
-        for proc in procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive() and proc.pid is not None:
-                leaked.append(proc.pid)
-        return leaked
+        while running:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            for sentinel in wait_sentinels(list(running), timeout=remaining):
+                del running[sentinel]
+        return sorted(
+            proc.pid for proc in running.values() if proc.pid is not None
+        )

@@ -326,58 +326,84 @@ def test_resumed_campaign_bit_identical_with_obs_digests(tmp_path):
         assert resumed.metrics.workers == workers
 
 
-def test_resumed_batched_campaign_bit_identical(tmp_path):
-    """The PR-5 acceptance case, replayed under ``backend="batched"``.
+def test_resumed_batched_campaign_bit_identical(tmp_path, capsys):
+    """A ledger written by a batched-backend run resumes on the one
+    execution path, bit-identically.
 
-    The scalar run is the reference: a batched run that checkpoints,
-    crashes and resumes (serially and pooled) must still land on the
-    scalar aggregates and canonical obs digests.
+    Ledgers from those runs still record ``"backend": "batched"`` in
+    their header params.  Both ``repro resume`` and the API resume must
+    ignore the key and land on the uninterrupted run's aggregate.
     """
+    from repro.__main__ import main
+
+    spec = CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(300))
     reference = run_random_campaigns(
-        6, root_seed=11, spec=OBS_SPEC, workers=1, chunk_size=2
+        6, root_seed=11, spec=spec, workers=1, chunk_size=2
     )
-    reference_digest = _obs_digest(reference)
+    # The header params exactly as the CLI recorded them for a batched
+    # `repro --seed 11 --checkpoint PATH mc --replicas 6 --horizon-ms 300`.
+    params = {
+        "seed": 11,
+        "workers": 1,
+        "backend": "batched",
+        "trace": None,
+        "profile": False,
+        "provenance": False,
+        "metrics_json": None,
+        "salvage": False,
+        "store": None,
+        "campaign_id": "default",
+        "store_format": "auto",
+        "live_log": None,
+        "replicas": 6,
+        "expected_faults": 3.0,
+        "horizon_ms": 300,
+    }
     full = tmp_path / "full.jsonl"
-    checkpointed = run_random_campaigns(
+    run_random_campaigns(
         6,
         root_seed=11,
-        spec=OBS_SPEC,
+        spec=spec,
         workers=1,
         chunk_size=2,
-        backend="batched",
         checkpoint=str(full),
+        checkpoint_meta={"command": "mc", "params": params},
     )
-    assert checkpointed.value == reference.value
-    assert _obs_digest(checkpointed) == reference_digest
-    for workers in (1, 4):
-        trunc = tmp_path / f"trunc-w{workers}.jsonl"
-        kept = _truncate_to_first_chunk(full, trunc)
-        assert 0 < kept < 6
-        resumed = run_random_campaigns(
-            6,
-            root_seed=11,
-            spec=OBS_SPEC,
-            workers=workers,
-            chunk_size=2,
-            backend="batched",
-            checkpoint=str(trunc),
-            resume=True,
-        )
-        assert resumed.value == reference.value
-        assert _obs_digest(resumed) == reference_digest
-        assert resumed.metrics.replicas_resumed == kept
-        assert resumed.metrics.backend == "batched"
+    assert read_header(full)["params"]["backend"] == "batched"
+
+    cli_ledger = tmp_path / "cli.jsonl"
+    kept = _truncate_to_first_chunk(full, cli_ledger)
+    assert 0 < kept < 6
+    assert main(["resume", str(cli_ledger)]) == 0
+    out = capsys.readouterr().out
+    assert f"resumed: {kept} replica(s) loaded" in out
+    assert f"plan digest {reference.value.plan_digest[:16]}..." in out
+
+    api_ledger = tmp_path / "api.jsonl"
+    assert _truncate_to_first_chunk(full, api_ledger) == kept
+    resumed = run_random_campaigns(
+        6,
+        root_seed=11,
+        spec=spec,
+        workers=1,
+        chunk_size=2,
+        checkpoint=str(api_ledger),
+        resume=True,
+    )
+    assert resumed.value == reference.value
+    assert resumed.values() == reference.values()
+    assert resumed.metrics.replicas_resumed == kept
 
 
 def test_mid_batch_resume_skips_completed_replicas(tmp_path):
-    """A resume whose preloaded replicas straddle a batch boundary never
+    """A resume whose preloaded replicas straddle a chunk boundary never
     re-runs them.
 
     The ledger is written with chunk_size=4 (replicas 0–3 complete); the
-    resume re-chunks at chunk_size=3, so batch [3, 4, 5] is *partially*
-    preloaded.  The runner must hand the batch executor only the fresh
-    replicas — proven by the events_simulated accounting, which counts
-    executed replicas only.
+    resume re-chunks at chunk_size=3, so chunk [3, 4, 5] is *partially*
+    preloaded.  The runner must execute only its fresh replicas — proven
+    by the events_simulated accounting, which counts executed replicas
+    only.
     """
     spec = CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(300))
     reference = run_random_campaigns(
@@ -390,7 +416,6 @@ def test_mid_batch_resume_skips_completed_replicas(tmp_path):
         spec=spec,
         workers=1,
         chunk_size=4,
-        backend="batched",
         checkpoint=str(full),
     )
     trunc = tmp_path / "trunc.jsonl"
@@ -402,7 +427,6 @@ def test_mid_batch_resume_skips_completed_replicas(tmp_path):
         spec=spec,
         workers=1,
         chunk_size=3,
-        backend="batched",
         checkpoint=str(trunc),
         resume=True,
     )

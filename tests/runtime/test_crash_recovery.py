@@ -135,6 +135,11 @@ def high_index_crash_task(replica: ReplicaTask) -> int:
     return replica.index
 
 
+def square_task(replica: ReplicaTask) -> int:
+    """A healthy task: returns promptly, never crashes."""
+    return replica.index * replica.index
+
+
 def sleepy_task(base: str) -> int:
     """Plain executor task: announce start, then outlive any timeout."""
     with open(
@@ -380,6 +385,22 @@ def test_shutdown_reports_leaked_workers(tmp_path):
                     pass
     assert len(leaked) == 1
     assert leaked[0] > 0
+
+
+def test_healthy_pooled_run_reports_no_leaked_workers():
+    """Workers that exit on shutdown are never reported as leaked.
+
+    The executor's manager thread reaps its workers concurrently with the
+    runner's bounded shutdown wait.  A wait that lost that ``waitpid`` race
+    used to report a worker that had already exited; repeated runs make
+    the race likely to show.
+    """
+    for _ in range(5):
+        outcome = ParallelCampaignRunner(
+            square_task, workers=2, chunk_size=2
+        ).run([None] * 6)
+        assert outcome.values() == [i * i for i in range(6)]
+        assert outcome.metrics.leaked_worker_pids == ()
 
 
 def test_metrics_carry_failure_and_leak_fields(tmp_path):

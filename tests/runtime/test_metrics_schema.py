@@ -19,14 +19,13 @@ def _metrics() -> RunMetrics:
         leaked_worker_pids=(77,),
         replicas_failed=1,
         replicas_resumed=2,
-        backend="batched",
     )
 
 
 def test_to_dict_carries_schema_version():
     payload = _metrics().to_dict()
-    assert payload["schema"] == METRICS_SCHEMA_VERSION == 1
-    assert payload["backend"] == "batched"
+    assert payload["schema"] == METRICS_SCHEMA_VERSION == 2
+    assert "backend" not in payload
     assert payload["replicas_resumed"] == 2
 
 
@@ -34,6 +33,16 @@ def test_round_trip_to_dict_from_dict_is_exact():
     payload = _metrics().to_dict()
     rebuilt = RunMetrics.from_dict(payload)
     assert rebuilt.to_dict() == payload
+
+
+def test_from_dict_reads_v1_and_ignores_its_backend():
+    """A v1 payload (``--metrics-json`` file or live-log record written
+    before v2) still loads; its ``backend`` key is dropped."""
+    v2 = _metrics().to_dict()
+    v1 = {**v2, "schema": 1, "backend": "batched"}
+    loaded = RunMetrics.from_dict(v1)
+    assert loaded.to_dict() == v2
+    assert not hasattr(loaded, "backend")
 
 
 def test_from_dict_rejects_unknown_schema():
@@ -58,7 +67,6 @@ def test_from_dict_defaults_optional_fields():
     assert metrics.leaked_worker_pids == ()
     assert metrics.replicas_failed == 0
     assert metrics.replicas_resumed == 0
-    assert metrics.backend == "scalar"
 
 
 def test_round_trip_survives_json(tmp_path):
