@@ -72,7 +72,8 @@ it never affects the simulation or any canonical digest.
 Observability flags (``docs/observability.md``): ``--trace PATH`` writes
 a schema-v2 JSONL obs trace of the run (for ``mc`` the parent aggregates
 replica-tagged records in index order and appends the merged counter
-totals); ``--profile`` prints a per-subsystem wall-time breakdown;
+totals; ``fleet`` and ``campaign`` trace only at ``--workers 1`` and
+exit 2 otherwise); ``--profile`` prints a per-subsystem wall-time breakdown;
 ``--provenance`` threads causal lineage through the records (and, for
 ``mc``, prints the per-stage latency breakdown per fault class).  All
 global flags are accepted both before and after the subcommand.
@@ -848,9 +849,15 @@ def cmd_resume(args: argparse.Namespace) -> int:
     handler = {"mc": cmd_mc, "campaign": cmd_campaign, "fleet": cmd_fleet}[
         command
     ]
-    if command != "mc" and (resumed.trace or resumed.profile):
-        return _run_observed(handler, resumed)
-    return handler(resumed)
+    try:
+        if command != "mc" and (resumed.trace or resumed.profile):
+            return _run_observed(handler, resumed)
+        return handler(resumed)
+    except ConfigurationError as exc:
+        # The ledger does not match this invocation (e.g. ``--trace`` on
+        # an mc ledger changes the spec digest); it is left untouched.
+        print(f"cannot resume {args.path}: {exc}", file=sys.stderr)
+        return 1
 
 
 #: Global options accepted both before and after the subcommand.
@@ -1221,8 +1228,16 @@ def _run_observed(command, args: argparse.Namespace) -> int:
 
     ``mc`` manages observability per replica instead (worker processes
     cannot see the parent's context); every other command runs in-process,
-    so one activated context captures its whole execution.
+    so one activated context captures its whole execution.  ``fleet`` and
+    ``campaign`` run in-process only at ``--workers 1``, so they refuse
+    to trace on a pool rather than write an empty trace.
     """
+    if args.command in ("fleet", "campaign") and args.workers > 1:
+        print(
+            f"--trace/--profile: {args.command} traces only at --workers 1",
+            file=sys.stderr,
+        )
+        return 2
     from repro import obs as obs_api
     from repro.obs.report import counters_record
 

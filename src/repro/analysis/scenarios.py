@@ -414,71 +414,42 @@ def run_campaign(
     Each scenario runs in its own fresh cluster (faults do not interact),
     which matches how the per-class figures of the paper are defined.
 
-    With ``workers > 1`` the (scenario, seed) grid is fanned out over the
-    parallel runtime; the aggregate is identical to a serial run, but
-    ``runs`` is empty (full :class:`ScenarioRun` objects — live clusters
-    and services — do not cross process boundaries).  Parallel execution
-    requires every scenario to come from :data:`CATALOGUE`.
+    With ``workers > 1``, or with a ``checkpoint``, ``store`` or
+    ``live_log``, the (scenario, seed) grid runs through the parallel
+    runtime; the aggregate is identical to a serial run, but ``runs`` is
+    empty (full :class:`ScenarioRun` objects — live clusters and
+    services — do not cross process boundaries).  That path requires
+    every scenario to come from :data:`CATALOGUE`.
     """
     specs = [
         (scenario.name, seed) for seed in seeds for scenario in scenarios
     ]
-    if (
-        checkpoint is not None or store is not None or live_log is not None
-    ) and workers <= 1:
-        # The serial fast path below keeps live ScenarioRun objects and
-        # bypasses the runner; checkpointing needs the runner's chunked
-        # ledger, the columnar store its post-reduce write hook and live
-        # telemetry its lifecycle events, so route through it.
-        workers = 1
+    # The serial fast path below keeps live ScenarioRun objects and
+    # bypasses the runner; a pool, the checkpoint ledger, the columnar
+    # store's post-reduce write hook and live telemetry all need the
+    # runner, so any of them routes through it.
+    reasons = [
+        reason
+        for reason, wanted in (
+            (f"workers={workers}", workers > 1),
+            ("checkpoint", checkpoint is not None),
+            ("store", store is not None),
+            ("live_log", live_log is not None),
+        )
+        if wanted
+    ]
+    if reasons:
         catalogue_names = {s.name for s in CATALOGUE}
         unknown = {name for name, _ in specs} - catalogue_names
         if unknown:
             raise AnalysisError(
-                "checkpointed campaigns only support catalogue "
-                f"scenarios; unknown: {sorted(unknown)!r}"
+                f"campaigns run with {', '.join(reasons)} only support "
+                f"catalogue scenarios; unknown: {sorted(unknown)!r}"
             )
         runner = ParallelCampaignRunner(
             run_catalogue_cell,
             reduce_catalogue_cells,
-            workers=1,
-            chunk_size=chunk_size,
-            on_exhausted=on_exhausted,
-        )
-        outcome = runner.run(
-            specs,
-            root_seed=0,
-            checkpoint=checkpoint,
-            resume=resume,
-            checkpoint_meta=checkpoint_meta,
-            store=store,
-            store_meta=store_meta,
-            live_log=live_log,
-        )
-        result = (
-            outcome.value
-            if outcome.results
-            else reduce_catalogue_cells([])
-        )
-        return CampaignResult(
-            runs=result.runs,
-            score=result.score,
-            integrated_cost=result.integrated_cost,
-            obd_cost=result.obd_cost,
-            metrics=outcome.metrics,
-        )
-    if workers > 1:
-        catalogue_names = {s.name for s in CATALOGUE}
-        unknown = {name for name, _ in specs} - catalogue_names
-        if unknown:
-            raise AnalysisError(
-                "parallel campaigns only support catalogue scenarios; "
-                f"unknown: {sorted(unknown)!r}"
-            )
-        runner = ParallelCampaignRunner(
-            run_catalogue_cell,
-            reduce_catalogue_cells,
-            workers=workers,
+            workers=max(1, workers),
             chunk_size=chunk_size,
             on_exhausted=on_exhausted,
         )

@@ -236,10 +236,11 @@ class LiveRunMonitor:
     """Parent-side fold of heartbeats into throughput, stalls, stragglers.
 
     One instance per runner invocation.  The runner calls
-    :meth:`chunk_submitted` / :meth:`chunk_done` as chunks move through
-    the pool and :meth:`poll` on every pool-wait timeout tick; ``poll``
-    returns the chunk ids it considers stalled so the runner can
-    resubmit them without waiting for pool teardown.
+    :meth:`chunk_submitted` / :meth:`chunk_done` as chunks are submitted
+    and recorded, and :meth:`poll` after every in-process chunk and on
+    every pool-wait timeout tick; ``poll`` returns the chunk ids it
+    considers stalled so the runner can resubmit pooled chunks without
+    waiting for pool teardown.
     """
 
     def __init__(

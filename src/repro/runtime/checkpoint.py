@@ -201,11 +201,6 @@ class CheckpointLedger:
     replicas: int
     chunks_written: int = 0
     _closed: bool = field(default=False, repr=False)
-    #: Optional ``on_flush(indices)`` callback invoked *after* a chunk
-    #: line is durably on disk (post-fsync) — the live event bus hangs
-    #: its ``checkpoint_flushed`` record here so the telemetry can never
-    #: claim durability the ledger has not delivered yet.
-    on_flush: Any = field(default=None, repr=False)
 
     @classmethod
     def open(
@@ -307,8 +302,6 @@ class CheckpointLedger:
             }
         )
         self.chunks_written += 1
-        if self.on_flush is not None:
-            self.on_flush(indices)
         _obs_event(
             "checkpoint.chunk", path=str(self.path), indices=indices
         )

@@ -22,9 +22,19 @@ extends to interruption: a run that is killed and resumed from its
 checkpoint ledger reduces to the identical aggregate (see
 :mod:`repro.runtime.checkpoint`).
 
+Execution
+---------
+Every worker count runs the same attempt loop.  An attempt executes the
+pending chunks either in the parent, one chunk at a time
+(``workers=1``, or a single replica), or on a spawn pool; the exhaustion
+fallback is one more in-parent pass.  Every completed chunk, wherever it
+ran, goes through one record step: pop the chunk from ``pending``,
+dedupe results by replica index, record failures, emit ``chunk_done``,
+append to the checkpoint ledger, emit ``checkpoint_flushed``.
+
 Fault tolerance
 ---------------
-Work is submitted in chunks.  Three failure modes are handled:
+Three failure modes are handled, identically for every worker count:
 
 * **Worker crash** (OOM-kill, segfault in a native extension, hard
   ``os._exit``): the pool breaks.  The runner drains every future that
@@ -34,13 +44,13 @@ Work is submitted in chunks.  Three failure modes are handled:
   duplicate or lose a replica — then rebuilds the pool and resubmits
   only the chunks that never reported, with exponential backoff between
   attempts.
-* **Replica exception**: a task that raises inside a worker no longer
-  aborts the pool.  The exception is captured as a structured
+* **Replica exception**: a task that raises is captured as a structured
   :class:`ReplicaFailure` and the replica is retried (same bounded
-  backoff schedule).
+  backoff schedule), so one transient error never aborts the campaign.
 * **Retry exhaustion**: governed by ``on_exhausted`` — ``"serial"``
-  (default) finishes the survivors in the parent process so a run always
-  completes; ``"salvage"`` gives up on the failed replicas and returns a
+  (default) runs the survivors once more in the parent without
+  capturing exceptions, so a run either completes or surfaces the real
+  error; ``"salvage"`` gives up on the failed replicas and returns a
   partial outcome with an explicit completeness report instead of
   stalling, which is what long unattended campaigns want.
 
@@ -59,7 +69,7 @@ import traceback as _traceback
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as wait_sentinels
 from pathlib import Path
 from typing import Any
@@ -73,7 +83,7 @@ from repro.runtime.seeds import replica_rng, replica_sequence, replica_state_see
 #: Hard ceiling on worker processes (guards against misconfiguration).
 MAX_WORKERS = 64
 
-#: Worker label of the in-process serial path (``workers=1``).
+#: Worker label of in-process attempts (``workers=1``).
 SERIAL_WORKER = "serial"
 
 #: Worker label of the post-retry fallback executing in the parent.  It
@@ -205,7 +215,6 @@ def _execute_chunk(
         stamp(
             heartbeat, worker=worker, chunk=chunk_id, replicas_done=0, events=0
         )
-    done = 0
     events_total = 0
     out: list[ReplicaResult | ReplicaFailure] = []
     for replica in tasks:
@@ -225,38 +234,91 @@ def _execute_chunk(
                     worker=worker,
                 )
             )
-            if stamp is not None:
-                done += 1
-                stamp(
-                    heartbeat,
-                    worker=worker,
-                    chunk=chunk_id,
-                    replicas_done=done,
-                    events=events_total,
-                )
-            continue
-        elapsed = time.perf_counter() - t0
-        events = int(getattr(value, "events_simulated", 0) or 0)
-        out.append(
-            ReplicaResult(
-                index=replica.index,
-                value=value,
-                events=events,
-                elapsed_s=elapsed,
-                worker=worker,
-            )
-        )
-        if stamp is not None:
-            done += 1
+        else:
+            elapsed = time.perf_counter() - t0
+            events = int(getattr(value, "events_simulated", 0) or 0)
             events_total += events
+            out.append(
+                ReplicaResult(
+                    index=replica.index,
+                    value=value,
+                    events=events,
+                    elapsed_s=elapsed,
+                    worker=worker,
+                )
+            )
+        if stamp is not None:
             stamp(
                 heartbeat,
                 worker=worker,
                 chunk=chunk_id,
-                replicas_done=done,
+                replicas_done=len(out),
                 events=events_total,
             )
     return out
+
+
+@dataclass(slots=True)
+class _Attempts:
+    """Bookkeeping of one run, shared by every attempt and placement.
+
+    ``pending`` maps chunk id to the replicas of that chunk not yet
+    recorded; ``failed`` holds the replicas that raised in the attempt
+    in progress (``attempt``, 1-based); ``leaked`` collects the pids of
+    pool workers that outlived their pool's bounded shutdown.
+    """
+
+    ledger: Any
+    monitor: Any
+    results: dict[int, ReplicaResult]
+    failures: dict[int, ReplicaFailure] = field(default_factory=dict)
+    pending: dict[int, list[ReplicaTask]] = field(default_factory=dict)
+    failed: set[int] = field(default_factory=set)
+    attempt: int = 0
+    retries: int = 0
+    leaked: list[int] = field(default_factory=list)
+
+    def record(
+        self, cid: int, out: list[ReplicaResult | ReplicaFailure]
+    ) -> None:
+        """The record step every completed chunk goes through.
+
+        The chunk is popped from ``pending`` *before* its results are
+        recorded and results dedupe by replica index, so no interleaving
+        of crash, completion and stall duplicate can double-count a
+        replica; a duplicate that finishes second records nothing.  The
+        ``checkpoint_flushed`` record follows ``append_chunk``, which
+        fsyncs, so telemetry never claims durability the ledger has not
+        delivered.
+        """
+        if self.pending.pop(cid, None) is None:
+            return
+        fresh: list[ReplicaResult] = []
+        for r in out:
+            if isinstance(r, ReplicaFailure):
+                self.failures[r.index] = replace(r, attempts=self.attempt)
+                self.failed.add(r.index)
+                if self.monitor is not None:
+                    self.monitor.replica_failed(
+                        r.index, r.error_type, self.attempt
+                    )
+            elif r.index not in self.results:
+                self.results[r.index] = r
+                self.failures.pop(r.index, None)
+                fresh.append(r)
+        if self.monitor is not None:
+            self.monitor.chunk_done(
+                cid,
+                worker=out[0].worker,
+                replicas=len(fresh),
+                events=sum(r.events for r in fresh),
+            )
+        if self.ledger is not None and fresh:
+            self.ledger.append_chunk(fresh)
+            if self.monitor is not None:
+                self.monitor.bus.emit(
+                    "checkpoint_flushed", replicas=len(fresh)
+                )
 
 
 class ParallelCampaignRunner:
@@ -275,16 +337,17 @@ class ParallelCampaignRunner:
         for an empty campaign — ``run([])`` short-circuits to an empty
         outcome instead of handing ``[]`` to fold reducers that reject it.
     workers:
-        Worker processes.  ``1`` (default) runs serially in-process —
-        no pool, no pickling, the exact same code path a single replica
-        takes inside a worker.
+        Worker processes.  ``1`` (default) runs every attempt in-process
+        — no pool, no pickling — through the same attempt loop, retry
+        schedule and exhaustion policy as a pooled run.
     chunk_size:
         Replicas per submitted chunk.  Defaults to a size that yields
         roughly four chunks per worker (amortises submission overhead
         while keeping crash blast radius and tail latency small).
     max_retries:
-        Pool rebuilds / replica retries allowed after crashes or task
-        exceptions before the ``on_exhausted`` policy applies.
+        Attempts allowed after the first one (pool rebuilds after
+        crashes, re-runs of raising replicas) before the
+        ``on_exhausted`` policy applies.
     retry_backoff_s:
         Base of the exponential backoff slept before resubmission
         attempt ``k`` (``retry_backoff_s * 2**(k-1)``).  ``0`` disables
@@ -295,8 +358,9 @@ class ParallelCampaignRunner:
         ``leaked_worker_pids`` in :class:`RunMetrics` instead of being
         silently left behind while the next pool starts.
     on_exhausted:
-        ``"serial"`` (default) finishes unrecovered chunks in the parent
-        process; ``"salvage"`` returns a partial :class:`RunOutcome`
+        ``"serial"`` (default) runs unrecovered chunks once more in the
+        parent process, letting a task exception propagate; ``"salvage"``
+        returns a partial :class:`RunOutcome`
         carrying :class:`ReplicaFailure` records and a completeness
         report.
     stall_timeout_s:
@@ -532,42 +596,24 @@ class ParallelCampaignRunner:
                 stall_timeout_s=self.stall_timeout_s if pooled else None,
                 straggler_factor=self.straggler_factor,
             )
-            if ledger is not None:
-                ledger.on_flush = lambda indices: bus.emit(
-                    "checkpoint_flushed", replicas=len(indices)
-                )
 
         t0 = time.perf_counter()
-        leaked: list[int] = []
-        failures: dict[int, ReplicaFailure] = {}
+        state = _Attempts(ledger, monitor, results=dict(preloaded))
         try:
-            if not pooled:
-                results, retries = self._run_serial(
-                    tasks, chunk_size, ledger, preloaded, failures, monitor
-                )
-            else:
-                results, retries = self._run_pool(
-                    tasks,
-                    chunk_size,
-                    ledger,
-                    preloaded,
-                    failures,
-                    leaked,
-                    monitor,
-                )
+            results = self._run_attempts(state, tasks, chunk_size, pooled)
+            wall = time.perf_counter() - t0
         except BaseException:
-            if heartbeat_dir is not None:
-                shutil.rmtree(heartbeat_dir, ignore_errors=True)
             if owns_bus and bus is not None:
                 bus.close()
             raise
-        wall = time.perf_counter() - t0
-        if heartbeat_dir is not None:
-            shutil.rmtree(heartbeat_dir, ignore_errors=True)
+        finally:
+            if heartbeat_dir is not None:
+                shutil.rmtree(heartbeat_dir, ignore_errors=True)
+        results.sort(key=lambda r: r.index)
+        failures = state.failures
         if ledger is not None:
             ledger.close(completed=len(results), failed=len(failures))
 
-        results.sort(key=lambda r: r.index)
         expected = set(range(len(tasks)))
         have = {r.index for r in results}
         duplicates = len(results) - len(have)
@@ -591,10 +637,10 @@ class ParallelCampaignRunner:
             workers=self.workers,
             chunk_size=chunk_size,
             wall_time_s=wall,
-            retries=retries,
+            retries=state.retries,
             events=[r.events for r in fresh],
             busy_by_worker=busy,
-            leaked_worker_pids=tuple(sorted(leaked)),
+            leaked_worker_pids=tuple(sorted(state.leaked)),
             replicas_failed=len(failures),
             replicas_resumed=len(preloaded),
         )
@@ -660,264 +706,164 @@ class ParallelCampaignRunner:
         if self.retry_backoff_s > 0 and attempt > 0:
             time.sleep(self.retry_backoff_s * (2 ** (attempt - 1)))
 
-    def _run_serial(
+    def _run_attempts(
         self,
+        state: _Attempts,
         tasks: list[ReplicaTask],
         chunk_size: int,
-        ledger,
-        preloaded: dict[int, ReplicaResult],
-        failures: dict[int, ReplicaFailure],
-        monitor=None,
-    ) -> tuple[list[ReplicaResult], int]:
-        """In-process execution, chunked so the ledger sees progress.
+        pooled: bool,
+    ) -> list[ReplicaResult]:
+        """The one attempt loop, for every worker count.
 
-        Exceptions propagate under the ``"serial"`` policy (identical to
-        the historical workers=1 behaviour); under ``"salvage"`` they
-        become :class:`ReplicaFailure` records like everywhere else.
+        Each attempt runs every pending chunk, in the parent or on a
+        fresh pool; replicas that raised are queued again as new chunks.
+        After ``1 + max_retries`` attempts the ``on_exhausted`` policy
+        takes whatever is still pending.  Returns the recorded results.
         """
-        results: list[ReplicaResult] = list(preloaded.values())
-        capture = self.on_exhausted == "salvage"
-        for cid, chunk in enumerate(self._chunked(tasks, chunk_size)):
-            # Drop already-completed replicas before the executor sees
-            # the chunk, so a mid-chunk resume runs only the replicas
-            # that still need to run.
-            todo = [t for t in chunk if t.index not in preloaded]
-            if not todo:
-                continue
-            if monitor is not None:
-                monitor.chunk_submitted(
-                    cid, [t.index for t in todo], attempt=1
-                )
-            out = _execute_chunk(
-                self.task,
-                todo,
-                worker_label=SERIAL_WORKER,
-                capture_errors=capture,
-            )
-            fresh = [r for r in out if isinstance(r, ReplicaResult)]
-            for r in out:
-                if isinstance(r, ReplicaFailure):
-                    failures[r.index] = r
-                    if monitor is not None:
-                        monitor.replica_failed(r.index, r.error_type, 1)
-            results.extend(fresh)
-            if ledger is not None and fresh:
-                ledger.append_chunk(fresh)
-            if monitor is not None:
-                monitor.chunk_done(
-                    cid,
-                    worker=SERIAL_WORKER,
-                    replicas=len(fresh),
-                    events=sum(r.events for r in fresh),
-                )
-                monitor.poll()
-        return results, 0
-
-    def _run_pool(
-        self,
-        tasks: list[ReplicaTask],
-        chunk_size: int,
-        ledger,
-        preloaded: dict[int, ReplicaResult],
-        failures: dict[int, ReplicaFailure],
-        leaked: list[int],
-        monitor=None,
-    ) -> tuple[list[ReplicaResult], int]:
-        results_by_index: dict[int, ReplicaResult] = dict(preloaded)
-        pending: dict[int, list[ReplicaTask]] = {}
-        next_cid = 0
-        for chunk in self._chunked(tasks, chunk_size):
-            todo = [t for t in chunk if t.index not in results_by_index]
+        # Chunk ids are positions in the whole campaign, so a resumed run
+        # keeps the ids of an uninterrupted one.
+        chunks = self._chunked(tasks, chunk_size)
+        for cid, chunk in enumerate(chunks):
+            todo = [t for t in chunk if t.index not in state.results]
             if todo:
-                pending[next_cid] = todo
-            next_cid += 1
-        retries = 0
-        attempt = 0
-        while pending and attempt <= self.max_retries:
-            if attempt > 0:
-                retries += len(pending)
+                state.pending[cid] = todo
+        next_cid = len(chunks)
+        monitor = state.monitor
+        while state.pending and state.attempt <= self.max_retries:
+            if state.attempt > 0:
+                state.retries += len(state.pending)
                 if monitor is not None:
-                    monitor.retry(chunks=len(pending), attempt=attempt)
-                self._backoff(attempt)
-            attempt += 1
-            newly_failed: dict[int, ReplicaFailure] = {}
-            ctx = multiprocessing.get_context("spawn")
-            executor = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending)), mp_context=ctx
-            )
-            try:
-
-                def _submit(cid: int, chunk: list[ReplicaTask]):
-                    hb = (
-                        monitor.heartbeat_path(cid)
-                        if monitor is not None
-                        else None
+                    monitor.retry(
+                        chunks=len(state.pending), attempt=state.attempt
                     )
-                    return executor.submit(
-                        _execute_chunk, self.task, chunk, None, True, hb, cid
-                    )
-
-                futures = {}
-                for cid, chunk in pending.items():
-                    futures[_submit(cid, chunk)] = cid
-                    if monitor is not None:
-                        monitor.chunk_submitted(
-                            cid, [t.index for t in chunk], attempt
-                        )
-                not_done = set(futures)
-                # With a live monitor the pool wait wakes on a poll
-                # timeout to fold heartbeats and run stall detection;
-                # without one it blocks indefinitely — the exact
-                # pre-telemetry code path.
-                poll = self.stall_poll_s if monitor is not None else None
-                resubmitted: set[int] = set()
-                while not_done:
-                    done, not_done = wait(
-                        not_done, timeout=poll, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        cid = futures[future]
-                        try:
-                            chunk_results = future.result()
-                        except (BrokenProcessPool, OSError):
-                            # This chunk's worker died.  Leave the chunk
-                            # pending for the next attempt but KEEP
-                            # DRAINING the batch: sibling futures that
-                            # completed before the break still hold real
-                            # results, and skipping them would re-execute
-                            # their chunks (historically the duplicate-
-                            # resubmission bug that tripped the lost-
-                            # replicas guard).
-                            continue
-                        # Pop before recording, and dedupe by replica
-                        # index, so no interleaving of crash and
-                        # completion can double-count a replica.  A
-                        # stall-resubmitted duplicate that finishes
-                        # second pops nothing and records nothing.
-                        was_pending = pending.pop(cid, None) is not None
-                        fresh: list[ReplicaResult] = []
-                        for r in chunk_results:
-                            if isinstance(r, ReplicaFailure):
-                                failures[r.index] = replace(
-                                    r, attempts=attempt
-                                )
-                                newly_failed[r.index] = failures[r.index]
-                                if monitor is not None:
-                                    monitor.replica_failed(
-                                        r.index, r.error_type, attempt
-                                    )
-                            elif r.index not in results_by_index:
-                                results_by_index[r.index] = r
-                                failures.pop(r.index, None)
-                                fresh.append(r)
-                        if monitor is not None and was_pending:
-                            monitor.chunk_done(
-                                cid,
-                                worker=(
-                                    fresh[0].worker if fresh else "pool"
-                                ),
-                                replicas=len(fresh),
-                                events=sum(r.events for r in fresh),
-                            )
-                        if ledger is not None and fresh:
-                            ledger.append_chunk(fresh)
-                    if monitor is not None:
-                        for stalled_cid in monitor.poll():
-                            # Duplicate the stalled chunk onto a free
-                            # worker instead of waiting for pool
-                            # teardown; at most one duplicate per chunk
-                            # per attempt.  Index-dedup above makes the
-                            # race between original and duplicate safe
-                            # whichever finishes first.
-                            if (
-                                stalled_cid in pending
-                                and stalled_cid not in resubmitted
-                            ):
-                                resubmitted.add(stalled_cid)
-                                retries += 1
-                                dup = _submit(
-                                    stalled_cid, pending[stalled_cid]
-                                )
-                                futures[dup] = stalled_cid
-                                not_done.add(dup)
-                                monitor.chunk_submitted(
-                                    stalled_cid,
-                                    [
-                                        t.index
-                                        for t in pending[stalled_cid]
-                                    ],
-                                    attempt,
-                                )
-                        if not pending and not_done:
-                            # Every replica is accounted for; whatever
-                            # is still "running" is a hung original
-                            # whose duplicate already won.  Abandon it —
-                            # the bounded executor shutdown reaps (or
-                            # reports) its worker.
-                            break
-            except (BrokenProcessPool, OSError):
-                # Raised by submit()/wait() themselves when the pool is
-                # already broken; everything still pending is resubmitted
-                # on a fresh pool next iteration.
-                pass
-            finally:
-                leaked.extend(self._shutdown_executor(executor))
-            if newly_failed and attempt <= self.max_retries:
-                # Resubmit raising replicas as fresh chunks; their
-                # failure records stay until a retry succeeds.
-                retry_tasks = [
-                    tasks[i] for i in sorted(newly_failed)
-                ]
-                for chunk in self._chunked(retry_tasks, chunk_size):
-                    pending[next_cid] = chunk
-                    next_cid += 1
-
-        leftovers = [
-            t
-            for cid in sorted(pending)
-            for t in pending[cid]
-            if t.index not in results_by_index
-        ]
-        exhausted_failures = sorted(
-            i for i in failures if i not in results_by_index
-        )
-        if self.on_exhausted == "serial":
-            # Last resort: finish in the parent so the run completes.
-            # Exceptions propagate here — after max_retries identical
-            # failures there is no point converting them again.
-            rerun = leftovers + [tasks[i] for i in exhausted_failures]
-            rerun.sort(key=lambda t: t.index)
-            if rerun:
-                out = _execute_chunk(
-                    self.task, rerun, worker_label=FALLBACK_WORKER
-                )
-                fresh = []
-                for r in out:
-                    if r.index not in results_by_index:
-                        results_by_index[r.index] = r
-                        failures.pop(r.index, None)
-                        fresh.append(r)
-                if ledger is not None and fresh:
-                    ledger.append_chunk(fresh)
-        else:
-            # Salvage: replicas lost to worker crashes get a structured
-            # failure record too (task exceptions already have one).
-            for t in leftovers:
-                failures.setdefault(
+                self._backoff(state.attempt)
+            state.attempt += 1
+            if pooled:
+                self._run_pool(state)
+            else:
+                self._run_in_parent(state, SERIAL_WORKER, capture_errors=True)
+            # Failure records stay until a retry succeeds.
+            retry_tasks = [tasks[i] for i in sorted(state.failed)]
+            state.failed.clear()
+            for chunk in self._chunked(retry_tasks, chunk_size):
+                state.pending[next_cid] = chunk
+                next_cid += 1
+        if state.pending and self.on_exhausted == "serial":
+            # Last resort: one more pass in the parent so the run
+            # completes.  Exceptions propagate here — after max_retries
+            # identical failures there is no point converting them again.
+            state.attempt += 1
+            self._run_in_parent(state, FALLBACK_WORKER, capture_errors=False)
+        # Salvage: replicas lost to worker crashes get a structured
+        # failure record too (task exceptions already have one).
+        for chunk in state.pending.values():
+            for t in chunk:
+                state.failures.setdefault(
                     t.index,
                     ReplicaFailure(
                         index=t.index,
                         error_type="WorkerCrash",
                         message=(
                             "worker process died before the replica "
-                            f"reported (after {attempt} attempt(s))"
+                            f"reported (after {state.attempt} attempt(s))"
                         ),
                         traceback="",
-                        attempts=attempt,
+                        attempts=state.attempt,
                         worker="pool",
                     ),
                 )
-        return list(results_by_index.values()), retries
+        return list(state.results.values())
+
+    def _run_in_parent(
+        self, state: _Attempts, worker: str, capture_errors: bool
+    ) -> None:
+        """One attempt in this process, one chunk at a time, so each
+        chunk is recorded before the next one runs."""
+        monitor = state.monitor
+        for cid, chunk in list(state.pending.items()):
+            if monitor is not None:
+                monitor.chunk_submitted(
+                    cid, [t.index for t in chunk], state.attempt
+                )
+            state.record(
+                cid, _execute_chunk(self.task, chunk, worker, capture_errors)
+            )
+            if monitor is not None:
+                monitor.poll()
+
+    def _run_pool(self, state: _Attempts) -> None:
+        """One attempt on a fresh spawn pool."""
+        monitor = state.monitor
+        ctx = multiprocessing.get_context("spawn")
+        executor = ProcessPoolExecutor(
+            max_workers=min(self.workers, len(state.pending)), mp_context=ctx
+        )
+        try:
+            futures = {}
+
+            def _submit(cid: int, chunk: list[ReplicaTask]):
+                hb = None
+                if monitor is not None:
+                    hb = monitor.heartbeat_path(cid)
+                    monitor.chunk_submitted(
+                        cid, [t.index for t in chunk], state.attempt
+                    )
+                future = executor.submit(
+                    _execute_chunk, self.task, chunk, None, True, hb, cid
+                )
+                futures[future] = cid
+                return future
+
+            for cid, chunk in state.pending.items():
+                _submit(cid, chunk)
+            not_done = set(futures)
+            # With a live monitor the pool wait wakes on a poll timeout to
+            # fold heartbeats and run stall detection; without one it
+            # blocks indefinitely.
+            poll = self.stall_poll_s if monitor is not None else None
+            resubmitted: set[int] = set()
+            while not_done:
+                done, not_done = wait(
+                    not_done, timeout=poll, return_when=FIRST_COMPLETED
+                )
+                for future in done:
+                    try:
+                        out = future.result()
+                    except (BrokenProcessPool, OSError):
+                        # This chunk's worker died.  Leave the chunk
+                        # pending for the next attempt but KEEP DRAINING
+                        # the batch: sibling futures that completed before
+                        # the break still hold real results, and skipping
+                        # them would re-execute their chunks (historically
+                        # the duplicate-resubmission bug that tripped the
+                        # lost-replicas guard).
+                        continue
+                    state.record(futures[future], out)
+                if monitor is None:
+                    continue
+                for cid in monitor.poll():
+                    # Duplicate the stalled chunk onto a free worker
+                    # instead of waiting for pool teardown; at most one
+                    # duplicate per chunk per attempt.  The record step
+                    # makes the race between original and duplicate safe
+                    # whichever finishes first.
+                    if cid in state.pending and cid not in resubmitted:
+                        resubmitted.add(cid)
+                        state.retries += 1
+                        not_done.add(_submit(cid, state.pending[cid]))
+                if not state.pending and not_done:
+                    # Every replica is accounted for; whatever is still
+                    # "running" is a hung original whose duplicate
+                    # already won.  Abandon it — the bounded executor
+                    # shutdown reaps (or reports) its worker.
+                    break
+        except (BrokenProcessPool, OSError):
+            # Raised by submit()/wait() themselves when the pool is
+            # already broken; everything still pending is resubmitted on
+            # a fresh pool next attempt.
+            pass
+        finally:
+            state.leaked.extend(self._shutdown_executor(executor))
 
     @staticmethod
     def _write_prom_snapshot(

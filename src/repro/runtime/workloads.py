@@ -164,7 +164,6 @@ def run_random_campaigns(
     *,
     workers: int = 1,
     chunk_size: int | None = None,
-    max_retries: int = 2,
     on_exhausted: str = "serial",
     checkpoint: str | None = None,
     resume: bool = False,
@@ -173,7 +172,6 @@ def run_random_campaigns(
     store_meta: dict | None = None,
     preloaded: dict | None = None,
     live_log: str | None = None,
-    stall_timeout_s: float | None = 30.0,
 ) -> RunOutcome:
     """Run ``replicas`` independent stochastic campaigns.
 
@@ -194,8 +192,8 @@ def run_random_campaigns(
     ``live_log`` streams in-flight lifecycle telemetry (progress, worker
     heartbeats, stall/straggler flags) to a JSONL sidecar readable by
     ``repro monitor``; it never influences the simulation or any
-    canonical digest.  ``stall_timeout_s`` tunes the heartbeat deadline
-    for the live path's stall detector.
+    canonical digest.  Retries and stall detection use the runner's
+    defaults (:class:`~repro.runtime.runner.ParallelCampaignRunner`).
     """
     if replicas < 0:
         raise ValueError(f"replicas must be >= 0, got {replicas}")
@@ -204,9 +202,7 @@ def run_random_campaigns(
         _reduce_campaign,
         workers=workers,
         chunk_size=chunk_size,
-        max_retries=max_retries,
         on_exhausted=on_exhausted,
-        stall_timeout_s=stall_timeout_s,
     )
     spec = spec if spec is not None else CampaignReplicaSpec()
     return runner.run(

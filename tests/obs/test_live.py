@@ -402,6 +402,27 @@ def test_runner_checkpoint_flushes_reach_the_live_log(tmp_path):
     assert all(f["replicas"] == 2 for f in flushes)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runner_checkpoint_flush_follows_its_chunk_done(tmp_path, workers):
+    """Every worker count records a chunk the same way: ``chunk_done``,
+    then the ledger append, then ``checkpoint_flushed``."""
+    path = tmp_path / "live.jsonl"
+    ParallelCampaignRunner(double_task, workers=workers, chunk_size=2).run(
+        [None] * 4,
+        root_seed=1,
+        checkpoint=tmp_path / "ledger.jsonl",
+        live_log=path,
+    )
+    records, _ = read_live_log(path)
+    kinds = [r["kind"] for r in records]
+    done = [i for i, kind in enumerate(kinds) if kind == "chunk_done"]
+    flushed = [
+        i for i, kind in enumerate(kinds) if kind == "checkpoint_flushed"
+    ]
+    assert len(done) == 2
+    assert flushed == [i + 1 for i in done]
+
+
 def test_runner_explicit_bus_is_not_closed_by_the_runner(tmp_path):
     sink = MemoryLiveSink()
     bus = LiveEventBus([sink])

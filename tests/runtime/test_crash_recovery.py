@@ -213,7 +213,7 @@ def test_serial_policy_reraises_deterministic_exception(tmp_path):
         runner.run([None] * 4, root_seed=0)
 
 
-def test_serial_policy_workers1_raises_immediately():
+def test_serial_policy_workers1_reraises_after_retries():
     with pytest.raises(ValueError, match="cursed"):
         ParallelCampaignRunner(cursed_task).run([None] * 4, root_seed=0)
 
@@ -270,6 +270,78 @@ def test_serial_path_uses_serial_label():
     )
     assert {r.worker for r in outcome.results} == {SERIAL_WORKER}
     assert set(outcome.metrics.worker_busy_s) == {SERIAL_WORKER}
+
+
+# -- one attempt loop: workers=1 behaves like the pool ---------------------
+
+
+def _failure_records(outcome) -> list[tuple[int, str, int]]:
+    return [(f.index, f.error_type, f.attempts) for f in outcome.failures]
+
+
+@pytest.mark.parametrize("policy", ["serial", "salvage"])
+def test_transient_failure_retried_alike_at_every_worker_count(
+    tmp_path, policy
+):
+    """A replica that raises once is retried at ``workers=1`` exactly as
+    on the pool: same aggregate, completeness and retry count."""
+    outcomes = {}
+    for workers in (1, 2):
+        base = tmp_path / f"w{workers}"
+        base.mkdir()
+        outcomes[workers] = ParallelCampaignRunner(
+            flaky_task,
+            workers=workers,
+            chunk_size=1,
+            retry_backoff_s=0.0,
+            on_exhausted=policy,
+        ).run([str(base)] * 4, root_seed=0)
+    for outcome in outcomes.values():
+        assert outcome.value == (0, 10, 20, 30)
+        assert outcome.complete
+        assert outcome.metrics.retries == 1
+
+
+def test_deterministic_failure_salvaged_alike_at_every_worker_count():
+    """Salvage gives identical failure records and retries for a
+    permanently raising replica at ``workers`` 1 and 2."""
+    outcomes = [
+        ParallelCampaignRunner(
+            cursed_task,
+            workers=workers,
+            chunk_size=1,
+            max_retries=1,
+            retry_backoff_s=0.0,
+            on_exhausted="salvage",
+        ).run([None] * 4, root_seed=0)
+        for workers in (1, 2)
+    ]
+    serial, pooled = outcomes
+    assert serial.value == pooled.value == (0, 20, 30)
+    assert _failure_records(serial) == _failure_records(pooled)
+    assert _failure_records(serial) == [(1, "ValueError", 2)]
+    assert serial.metrics.retries == pooled.metrics.retries == 1
+
+
+def test_fallback_chunks_reach_the_live_log(tmp_path):
+    """Chunks finished by the parent fallback are recorded like any
+    other chunk, so the monitor sees the run complete."""
+    from repro.obs.live import monitor_once
+
+    path = tmp_path / "live.jsonl"
+    spec = (str(tmp_path), os.getpid())
+    outcome = ParallelCampaignRunner(
+        parent_only_task,
+        workers=2,
+        chunk_size=1,
+        max_retries=0,
+        retry_backoff_s=0.0,
+    ).run([spec] * 4, root_seed=0, live_log=path)
+    assert {r.worker for r in outcome.results} == {FALLBACK_WORKER}
+    summary, _report = monitor_once(path)
+    assert summary["finished"] is True
+    assert summary["replicas_done"] == summary["replicas_total"] == 4
+    assert summary["workers"][FALLBACK_WORKER]["replicas"] == 4
 
 
 # -- retry exhaustion: salvage policy --------------------------------------

@@ -152,6 +152,24 @@ def test_catalogue_campaign_rejects_foreign_scenarios_in_parallel():
         run_campaign((foreign,), seeds=(1,), workers=2)
 
 
+def test_catalogue_campaign_rejection_names_the_runner_reason(tmp_path):
+    """A serial campaign routed through the runner by ``store`` alone
+    says so, instead of blaming a checkpoint that was never given."""
+    from repro.analysis.scenarios import Scenario
+    from repro.core.fault_model import FaultClass
+
+    foreign = Scenario(
+        "not-in-catalogue", lambda inj: None, ms(100), FaultClass.COMPONENT_INTERNAL
+    )
+    with pytest.raises(AnalysisError, match=r"run with store only") as info:
+        run_campaign((foreign,), seeds=(1,), store=str(tmp_path / "s"))
+    assert "checkpoint" not in str(info.value)
+    with pytest.raises(AnalysisError, match=r"run with workers=2, live_log"):
+        run_campaign(
+            (foreign,), seeds=(1,), workers=2, live_log=str(tmp_path / "l")
+        )
+
+
 def test_synthetic_fleet_sharding_equivalence():
     kwargs = dict(
         n_job_types=10, mean_failures_per_vehicle=0.5, shard_vehicles=250

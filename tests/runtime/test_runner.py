@@ -185,11 +185,8 @@ def test_lost_replica_detected():
     """The runner refuses to reduce an incomplete result set."""
 
     class Hole(ParallelCampaignRunner):
-        def _run_pool(self, tasks, chunk_size, *args, **kwargs):
-            results, retries = super()._run_pool(
-                tasks, chunk_size, *args, **kwargs
-            )
-            return results[:-1], retries
+        def _run_attempts(self, *args, **kwargs):
+            return super()._run_attempts(*args, **kwargs)[:-1]
 
     runner = Hole(square_task, workers=2, chunk_size=1)
     with pytest.raises(SimulationError, match="lost replicas"):
@@ -200,11 +197,9 @@ def test_duplicated_replica_detected():
     """Duplicate indices trip the guard too (not just missing ones)."""
 
     class Double(ParallelCampaignRunner):
-        def _run_pool(self, tasks, chunk_size, *args, **kwargs):
-            results, retries = super()._run_pool(
-                tasks, chunk_size, *args, **kwargs
-            )
-            return results + results[:1], retries
+        def _run_attempts(self, *args, **kwargs):
+            results = super()._run_attempts(*args, **kwargs)
+            return results + results[:1]
 
     runner = Double(square_task, workers=2, chunk_size=1)
     with pytest.raises(SimulationError, match="lost replicas"):

@@ -149,3 +149,39 @@ def test_fleet_command(capsys):
     out = capsys.readouterr().out
     assert "Fleet of 3" in out
     assert "replicas, workers=1" in out
+
+
+def test_fleet_trace_refused_on_a_pool(capsys, tmp_path):
+    """Spawned workers cannot see the parent's obs context, so a pooled
+    fleet/campaign run refuses to trace instead of writing an empty
+    trace — directly and through ``repro resume``."""
+    trace = tmp_path / "t.jsonl"
+    fleet = ["fleet", "--vehicles", "2", "--drive-ms", "200"]
+    assert main(["--workers", "2", "--trace", str(trace), *fleet]) == 2
+    err = capsys.readouterr().err
+    assert "--workers 1" in err
+    assert not trace.exists()
+
+    ledger = tmp_path / "fleet.jsonl"
+    assert main(["--checkpoint", str(ledger), *fleet]) == 0
+    capsys.readouterr()
+    args = ["resume", str(ledger), "--workers", "2", "--profile"]
+    assert main(args) == 2
+    assert "--workers 1" in capsys.readouterr().err
+
+
+def test_resume_ledger_mismatch_exits_cleanly(capsys, tmp_path):
+    """``--trace`` changes an mc campaign's spec digest; resuming with it
+    reports the mismatch on one stderr line and leaves the ledger
+    byte-unchanged."""
+    ledger = tmp_path / "mc.jsonl"
+    mc = ["mc", "--replicas", "2", "--horizon-ms", "200"]
+    assert main(["--seed", "5", "--checkpoint", str(ledger), *mc]) == 0
+    capsys.readouterr()
+    before = ledger.read_bytes()
+    trace = tmp_path / "t.jsonl"
+    assert main(["resume", str(ledger), "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "does not match" in err and "spec_digest" in err
+    assert ledger.read_bytes() == before
