@@ -22,10 +22,11 @@ Commands
     Print the Fig. 7 bathtub curve as an ASCII series.
 
 ``resume PATH``
-    Continue an interrupted checkpointed campaign from its JSONL ledger
-    (written by ``mc``/``fleet``/``campaign --checkpoint PATH``).  The
-    ledger header records the original invocation; already-completed
-    replicas are loaded, the rest are executed, and the final aggregate
+    Continue an interrupted campaign from its JSONL run journal (written
+    by ``mc``/``fleet``/``campaign`` with ``--checkpoint PATH`` or
+    ``--live-log PATH``).  The journal header records the original
+    invocation; already-completed replicas are loaded, the rest are
+    executed and appended to the same journal, and the final aggregate
     is bit-identical to an uninterrupted run.
 
 ``query [WHAT] --store DIR``
@@ -35,12 +36,13 @@ Commands
     stored tables only and never instantiates the simulator.
 
 ``monitor PATH``
-    Render live campaign telemetry from a ``--live-log`` sidecar:
-    progress %, ETA, per-worker throughput, retries, stall/straggler
-    flags.  ``--follow`` tails the log, ``--json`` emits the structured
-    summary, ``--serve PORT`` answers one OpenMetrics scrape from the
-    ``PATH.prom`` snapshot.  Tolerates a truncated tail (a killed run's
-    log still renders) and never instantiates the simulator.
+    Render campaign telemetry from a run journal: progress %, ETA,
+    per-worker throughput, retries, stall/straggler flags, for the
+    journal's last session.  ``--follow`` tails the journal, ``--json``
+    emits the structured summary, ``--serve PORT`` answers one
+    OpenMetrics scrape rendered from the journal.  Tolerates a truncated
+    tail (a killed run's journal still renders) and never instantiates
+    the simulator.
 
 ``obs report PATH``
     Validate a recorded JSONL obs trace and render its summary
@@ -57,17 +59,20 @@ Campaign-style commands accept ``--workers N`` to fan replicas out over
 the spawn-safe process pool (bit-identical results to ``--workers 1``;
 see ``docs/parallel_runtime.md``) and ``--metrics-json PATH`` to write the
 structured run-metrics record.  ``--checkpoint PATH`` makes the run
-durable (chunk-granular JSONL ledger, resumable with ``repro resume``);
+durable (chunk-granular JSONL run journal, resumable with ``repro
+resume`` and replayable with ``repro whatif``);
 ``--salvage`` degrades gracefully on retry exhaustion — the partial
 aggregate is returned with an explicit completeness report instead of
 the run stalling in the serial fallback.  ``--store DIR`` additionally
 writes the reduced result into the columnar campaign store (with
 ``--campaign-id`` as the partition label and ``--store-format`` picking
 Parquet or the columnar-JSON fallback; see ``docs/storage.md``).
-``--live-log PATH`` streams in-flight lifecycle telemetry — progress,
-worker heartbeats, stall/straggler flags — to a JSONL sidecar watchable
-with ``repro monitor`` (plus an OpenMetrics ``PATH.prom`` snapshot);
-it never affects the simulation or any canonical digest.
+``--live-log PATH`` additionally streams in-flight lifecycle telemetry —
+progress, worker heartbeats, stall/straggler flags — into the journal,
+watchable with ``repro monitor``; it never affects the simulation or any
+canonical digest.  Both flags name the one journal: given both with
+different paths, the ``--live-log`` path becomes a hard link to it (exit
+2 before simulating if the link cannot be made).
 
 Observability flags (``docs/observability.md``): ``--trace PATH`` writes
 a schema-v2 JSONL obs trace of the run (for ``mc`` the parent aggregates
@@ -85,6 +90,7 @@ import argparse
 import sys
 
 from repro.analysis.reports import render_series, render_table
+from repro.errors import JournalAliasError
 
 
 def _emit_mc_obs(args: argparse.Namespace, outcome, summary) -> None:
@@ -158,7 +164,7 @@ def _emit_completeness(outcome) -> None:
     if metrics.replicas_resumed:
         print(
             f"[resumed: {metrics.replicas_resumed} replica(s) loaded "
-            f"from the checkpoint ledger, "
+            f"from the run journal, "
             f"{metrics.replicas - metrics.replicas_resumed} executed]"
         )
     if outcome.failures:
@@ -177,10 +183,8 @@ def _checkpoint_kwargs(args: argparse.Namespace, command: str, params: dict):
     checkpoint = getattr(args, "checkpoint", None)
     store = getattr(args, "store", None)
     meta = None
-    # The same invocation record doubles as the live-log's run header
-    # (the runner merges checkpoint/store meta into ``run_started``), so
-    # build it for live-only runs too — the ledger only consumes it when
-    # --checkpoint is actually given.
+    # Either flag names the run journal, whose header records the
+    # invocation so that ``repro resume`` can rebuild it.
     if checkpoint or getattr(args, "live_log", None):
         meta = {
             "command": command,
@@ -665,12 +669,13 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    """Render live campaign telemetry — never touches the sim.
+    """Render campaign telemetry from a run journal — never touches
+    the sim.
 
-    Reads only the ``--live-log`` JSONL sidecar (tolerant-tail parsing,
-    like the checkpoint ledger loader) and the ``PATH.prom`` OpenMetrics
-    snapshot; the one-shot report is a pure function of the log bytes,
-    which the committed golden in ``tests/data/`` pins byte for byte.
+    Reads only the journal (tolerant-tail parsing, shared with the
+    checkpoint loader); the one-shot report and the OpenMetrics scrape
+    are pure functions of the journal bytes, which the committed goldens
+    in ``tests/data/`` pin byte for byte.
     """
     import json
     import time
@@ -806,7 +811,7 @@ _RESUME_COMMAND_DEFAULTS: dict[str, dict[str, object]] = {
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
+    from repro.errors import ConfigurationError, JournalAliasError
     from repro.runtime.checkpoint import read_header
 
     try:
@@ -853,6 +858,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
         if command != "mc" and (resumed.trace or resumed.profile):
             return _run_observed(handler, resumed)
         return handler(resumed)
+    except JournalAliasError:
+        raise  # exit 2, like a fresh run
     except ConfigurationError as exc:
         # The ledger does not match this invocation (e.g. ``--trace`` on
         # an mc ledger changes the spec digest); it is left untouched.
@@ -913,8 +920,8 @@ _GLOBAL_OPTIONS: list[tuple[tuple[str, ...], dict]] = [
             "metavar": "PATH",
             "default": None,
             "help": (
-                "append every completed chunk to a durable JSONL ledger "
-                "at PATH; continue an interrupted run with "
+                "write the run journal to PATH, durably appending every "
+                "completed chunk; continue an interrupted run with "
                 "`python -m repro resume PATH`"
             ),
         },
@@ -972,10 +979,11 @@ _GLOBAL_OPTIONS: list[tuple[tuple[str, ...], dict]] = [
             "metavar": "PATH",
             "default": None,
             "help": (
-                "stream in-flight lifecycle telemetry (progress, worker "
-                "heartbeats, stall/straggler flags) to a schema-versioned "
-                "JSONL sidecar at PATH plus an OpenMetrics PATH.prom "
-                "snapshot; watch with `python -m repro monitor PATH`"
+                "also stream in-flight lifecycle telemetry (progress, "
+                "worker heartbeats, stall/straggler flags) into the run "
+                "journal at PATH (a hard link to the --checkpoint journal "
+                "if both are given); watch with `python -m repro monitor "
+                "PATH`"
             ),
         },
     ),
@@ -1030,7 +1038,7 @@ def main(argv: list[str] | None = None) -> int:
     add_command("bathtub", "print the Fig. 7 curve")
     resume_cmd = sub.add_parser(
         "resume",
-        help="continue an interrupted checkpointed campaign from its ledger",
+        help="continue an interrupted campaign from its run journal",
     )
     resume_cmd.add_argument("path")
     _add_global_options(resume_cmd, suppress=True)
@@ -1102,7 +1110,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     monitor_cmd = sub.add_parser(
         "monitor",
-        help="render live campaign telemetry from a --live-log sidecar",
+        help="render campaign telemetry from a run journal",
     )
     monitor_cmd.add_argument("path")
     monitor_cmd.add_argument(
@@ -1128,9 +1136,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="PORT",
         help=(
-            "answer one OpenMetrics scrape on PORT (0 = ephemeral) from "
-            "the PATH.prom snapshot, falling back to gauges derived from "
-            "the log"
+            "answer one OpenMetrics scrape on PORT (0 = ephemeral), "
+            "rendered from the journal"
         ),
     )
     whatif_cmd = add_command(
@@ -1139,7 +1146,7 @@ def main(argv: list[str] | None = None) -> int:
     whatif_cmd.add_argument(
         "baseline",
         help=(
-            "campaign baseline: a checkpoint ledger file or a columnar "
+            "campaign baseline: a run journal file or a columnar "
             "store directory"
         ),
     )
@@ -1208,7 +1215,7 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigurationError as exc:
             print(f"store setup failed: {exc}", file=sys.stderr)
             return 1
-    if args.command in (
+    observed = args.command not in (
         "obs",
         "mc",
         "explain",
@@ -1216,11 +1223,14 @@ def main(argv: list[str] | None = None) -> int:
         "query",
         "monitor",
         "whatif",
-    ) or not (
-        getattr(args, "trace", None) or getattr(args, "profile", False)
-    ):
+    ) and (getattr(args, "trace", None) or getattr(args, "profile", False))
+    try:
+        if observed:
+            return _run_observed(commands[args.command], args)
         return commands[args.command](args)
-    return _run_observed(commands[args.command], args)
+    except JournalAliasError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 def _run_observed(command, args: argparse.Namespace) -> int:

@@ -35,3 +35,8 @@ class FaultInjectionError(ReproError):
 
 class AnalysisError(ReproError):
     """A diagnostic or statistical analysis received unusable input."""
+
+
+class JournalAliasError(ConfigurationError):
+    """A second name for the run journal (``--live-log`` next to a
+    different ``--checkpoint``) cannot be made a hard link to it."""

@@ -66,7 +66,7 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "LIVE_SCHEMA_VERSION",
+    "JOURNAL_VERSION",
     "LiveEventBus",
     "SUPPORTED_SCHEMA_VERSIONS",
     "TRACE_SCHEMA_VERSION",
@@ -161,7 +161,7 @@ class Observability:
 #: load on first attribute access only, keeping ``import repro.obs``
 #: byte-cheap for the instrumentation hot path.
 _LAZY_EXPORTS = {
-    "LIVE_SCHEMA_VERSION": ("repro.obs.live", "LIVE_SCHEMA_VERSION"),
+    "JOURNAL_VERSION": ("repro.obs.live", "JOURNAL_VERSION"),
     "LiveEventBus": ("repro.obs.live", "LiveEventBus"),
     "render_openmetrics": ("repro.obs.openmetrics", "render_openmetrics"),
 }

@@ -1,16 +1,17 @@
-"""In-flight campaign telemetry: the live progress event bus.
+"""In-flight campaign telemetry and the reader of the run journal.
 
 All other observability in the repo is post-hoc — counters, traces and
 provenance chains materialize only after the index-ordered reduce.  This
 module is the *while-it-runs* half: the
 :class:`~repro.runtime.runner.ParallelCampaignRunner` emits structured
 lifecycle events (``chunk_submitted``, ``chunk_done``, ``replica_failed``,
-``retry``, ``checkpoint_flushed``, ``worker_heartbeat``,
-``stall_suspected``, ``straggler_suspected``) to a pluggable
-:class:`LiveEventBus`; the default sink appends schema-versioned JSONL to
-a ``--live-log PATH`` sidecar with periodic fsync — the same durability
-idiom as the checkpoint ledger, so a SIGKILL loses at most the tail and
-``repro monitor`` still renders a partial-progress report.
+``retry``, ``worker_heartbeat``, ``stall_suspected``,
+``straggler_suspected``) to a pluggable :class:`LiveEventBus`.  With
+``--live-log``/``--checkpoint`` the bus writes into the run's one JSONL
+journal (:class:`repro.runtime.checkpoint.RunJournal`), the same file
+that carries the checkpointed replica results, so a SIGKILL loses at
+most the tail and ``repro monitor`` still renders a partial-progress
+report.
 
 Determinism contract
 --------------------
@@ -40,9 +41,11 @@ these into rolling throughput/ETA estimates on each poll tick and flags
   replica index and replica outcomes are pure functions of
   ``(root_seed, index)``.
 
-The reader half (:func:`read_live_log`, :func:`summarize_live`,
+The reader half (:func:`read_journal`, :func:`summarize_live`,
 :func:`render_monitor_report`) powers the sim-free ``repro monitor``
-CLI; parsing tolerates a truncated tail exactly like the ledger loader.
+CLI.  :func:`read_journal` is the one tolerant line reader of the run
+journal: the checkpoint loader (``repro resume``, the ``repro whatif``
+baseline) reads through it too.
 """
 
 from __future__ import annotations
@@ -51,21 +54,22 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
-#: Live-log layout version (bumped on incompatible record changes).
-LIVE_SCHEMA_VERSION = 1
+#: Run-journal layout version, recorded in the journal header (bumped on
+#: incompatible record changes).  Version 1 is the checkpoint ledger that
+#: predates the journal; it still loads.
+JOURNAL_VERSION = 2
 
-#: Record kinds a live log may carry (unknown kinds are ignored by the
+#: Record kinds a run journal may carry (unknown kinds are ignored by the
 #: reader, so the schema can grow without breaking old monitors).
-LIVE_EVENT_KINDS = (
-    "live_header",
+JOURNAL_KINDS = (
+    "header",
     "run_started",
     "chunk_submitted",
     "chunk_done",
     "replica_failed",
     "retry",
-    "checkpoint_flushed",
     "worker_heartbeat",
     "progress",
     "stall_suspected",
@@ -87,53 +91,6 @@ def _rss_kb() -> int:
 # -- sinks --------------------------------------------------------------------
 
 
-class JsonlLiveSink:
-    """Append live records to a JSONL sidecar with periodic fsync.
-
-    Every record is written and flushed immediately (so ``tail -f`` and
-    ``repro monitor --follow`` see it); fsync is amortized — at most one
-    per ``fsync_interval_s`` or every ``fsync_every`` records, whichever
-    comes first — because the live log is a telemetry feed, not the
-    ledger of record: losing a fraction of a second of progress events
-    to a power cut is acceptable, losing replica results is not.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        fsync_interval_s: float = 1.0,
-        fsync_every: int = 64,
-    ) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh: TextIO = self.path.open("w", encoding="utf-8")
-        self._fsync_interval_s = fsync_interval_s
-        self._fsync_every = fsync_every
-        self._since_fsync = 0
-        self._last_fsync = time.monotonic()
-
-    def write(self, record: dict[str, Any]) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-        self._since_fsync += 1
-        now = time.monotonic()
-        if (
-            self._since_fsync >= self._fsync_every
-            or now - self._last_fsync >= self._fsync_interval_s
-        ):
-            os.fsync(self._fh.fileno())
-            self._since_fsync = 0
-            self._last_fsync = now
-
-    def close(self) -> None:
-        if self._fh.closed:
-            return
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._fh.close()
-
-
 class MemoryLiveSink:
     """In-memory sink for tests and embedding (e.g. a WebSocket fan-out)."""
 
@@ -150,9 +107,8 @@ class MemoryLiveSink:
 class LiveEventBus:
     """Fans structured lifecycle events out to pluggable sinks.
 
-    The first emitted record is preceded by a ``live_header`` line
-    carrying the schema version, so any consumer (including one reading
-    a half-written file) can validate the layout.  ``clock`` is
+    A sink is anything with ``write(record)`` and ``close()``: the run
+    journal, a :class:`MemoryLiveSink`, or another bus.  ``clock`` is
     injectable for byte-stable tests.
     """
 
@@ -164,21 +120,14 @@ class LiveEventBus:
     ) -> None:
         self.sinks = list(sinks)
         self._clock = clock
-        self._header_written = False
 
     def emit(self, kind: str, **fields: Any) -> None:
         if not self.sinks:
             return
-        if not self._header_written:
-            self._header_written = True
-            header = {
-                "kind": "live_header",
-                "schema": LIVE_SCHEMA_VERSION,
-                "t_wall": round(self._clock(), 6),
-            }
-            for sink in self.sinks:
-                sink.write(header)
-        record = {"kind": kind, "t_wall": round(self._clock(), 6), **fields}
+        self.write({"kind": kind, "t_wall": round(self._clock(), 6), **fields})
+
+    def write(self, record: dict[str, Any]) -> None:
+        """Pass an already stamped record on to every sink."""
         for sink in self.sinks:
             sink.write(record)
 
@@ -287,8 +236,10 @@ class LiveRunMonitor:
         )
 
     def chunk_done(
-        self, cid: int, *, worker: str, replicas: int, events: int
+        self, cid: int, *, worker: str, replicas: int, events: int, **fields: Any
     ) -> None:
+        """Record a completed chunk; ``fields`` (the journal's result
+        payload) ride along on the one ``chunk_done`` record."""
         submitted = self._in_flight.pop(cid, None)
         self._last_activity.pop(cid, None)
         self._last_emitted.pop(cid, None)
@@ -304,6 +255,7 @@ class LiveRunMonitor:
             replicas=replicas,
             events=events,
             elapsed_s=None if elapsed is None else round(elapsed, 6),
+            **fields,
         )
 
     def replica_failed(self, index: int, error_type: str, attempts: int) -> None:
@@ -418,12 +370,13 @@ class LiveRunMonitor:
 # -- reader half (repro monitor) ----------------------------------------------
 
 
-def read_live_log(path: str | Path) -> tuple[list[dict[str, Any]], int]:
-    """Tolerant live-log parse: records plus the skipped-line count.
+def read_journal(path: str | Path) -> tuple[list[dict[str, Any]], int]:
+    """Tolerant journal parse: records plus the skipped-line count.
 
-    Exactly the ledger idiom — any line that fails JSON parsing (a torn
-    tail after SIGKILL) is skipped and counted, never fatal.  A missing
-    file raises ``OSError`` for the CLI to render.
+    Any line that fails JSON parsing (a torn tail after SIGKILL) or is
+    not a JSON object is skipped and counted, never fatal.  Reads run
+    journals, version-1 checkpoint ledgers and the live logs that
+    predate the journal alike.  A missing file raises ``OSError``.
     """
     records: list[dict[str, Any]] = []
     skipped = 0
@@ -447,15 +400,30 @@ def read_live_log(path: str | Path) -> tuple[list[dict[str, Any]], int]:
 def summarize_live(
     records: list[dict[str, Any]], *, skipped_lines: int = 0
 ) -> dict[str, Any]:
-    """Fold live records into the monitor's structured summary.
+    """Fold journal records into the monitor's structured summary.
 
-    Every derived quantity (elapsed, throughput, ETA) comes from the
-    log's own wall stamps — never from the reading host's clock — so the
-    one-shot report is a pure function of the file bytes (the committed
-    golden pins this).
+    Only the last session counts: a resumed run appends a new
+    ``run_started`` record, and the fold starts there (the replicas the
+    resume loaded show up as ``replicas_resumed``).  Every derived
+    quantity (elapsed, throughput, ETA) comes from the log's own wall
+    stamps — never from the reading host's clock — so the one-shot
+    report is a pure function of the file bytes (the committed goldens
+    pin this).  Live logs that predate the journal (``live_header``
+    first, ``checkpoint_flushed`` after each durable chunk) still fold.
     """
     schema = None
     started: dict[str, Any] = {}
+    session_start = 0
+    for i, record in enumerate(records):
+        kind = record.get("kind")
+        if kind == "header":
+            schema = record.get("version")
+            started = record
+        elif kind == "live_header":
+            schema = record.get("schema")
+        elif kind == "run_started":
+            started = record
+            session_start = i
     finished: dict[str, Any] | None = None
     replicas_done = 0
     events = 0
@@ -469,17 +437,13 @@ def summarize_live(
     workers: dict[str, dict[str, Any]] = {}
     t_lo: float | None = None
     t_hi: float | None = None
-    for record in records:
+    for record in records[session_start:]:
         kind = record.get("kind")
         t_wall = record.get("t_wall")
         if isinstance(t_wall, (int, float)):
             t_lo = t_wall if t_lo is None else min(t_lo, t_wall)
             t_hi = t_wall if t_hi is None else max(t_hi, t_wall)
-        if kind == "live_header":
-            schema = record.get("schema")
-        elif kind == "run_started":
-            started = record
-        elif kind == "chunk_submitted":
+        if kind == "chunk_submitted":
             in_flight.add(record.get("chunk"))
         elif kind == "chunk_done":
             in_flight.discard(record.get("chunk"))
@@ -493,6 +457,8 @@ def summarize_live(
             stats["replicas"] += int(record.get("replicas", 0))
             stats["events"] += int(record.get("events", 0))
             stats["chunks"] += 1
+            if "payload" in record:
+                checkpoint_flushes += 1
         elif kind == "worker_heartbeat":
             worker = str(record.get("worker", "?"))
             stats = workers.setdefault(
@@ -528,6 +494,7 @@ def summarize_live(
         else None
     )
     metrics = (finished or {}).get("metrics")
+    counters = (finished or {}).get("counters")
     return {
         "schema": schema,
         "command": started.get("command"),
@@ -563,13 +530,14 @@ def summarize_live(
         "checkpoint_flushes": checkpoint_flushes,
         "finished": finished is not None,
         "run_metrics": metrics,
+        "counters": counters,
         "workers": {k: workers[k] for k in sorted(workers)},
         "skipped_lines": skipped_lines,
     }
 
 
 def render_monitor_report(summary: dict[str, Any], name: str) -> str:
-    """Byte-stable text report of one live-log summary."""
+    """Byte-stable text report of one journal summary."""
     from repro.analysis.reports import render_table
 
     lines: list[str] = []
@@ -671,41 +639,40 @@ def render_monitor_report(summary: dict[str, Any], name: str) -> str:
 
 def monitor_once(path: str | Path) -> tuple[dict[str, Any], str]:
     """One-shot monitor pass: summary dict plus the rendered report."""
-    records, skipped = read_live_log(path)
+    records, skipped = read_journal(path)
     summary = summarize_live(records, skipped_lines=skipped)
     return summary, render_monitor_report(summary, Path(path).name)
 
 
 def serve_metrics_once(
-    live_log: str | Path,
+    journal: str | Path,
     *,
     port: int = 0,
     host: str = "127.0.0.1",
     requests: int = 1,
     started=None,
 ) -> int:
-    """Serve the OpenMetrics snapshot over HTTP, one request at a time.
+    """Serve the journal's OpenMetrics exposition over HTTP, one request
+    at a time.
 
-    Serves the ``<live-log>.prom`` sidecar when the run wrote one
-    (merged counters + run-metrics gauges), else renders gauges from the
-    live log on the fly.  Binds ``host:port`` (port 0 = ephemeral),
-    optionally signals ``started`` (a ``threading.Event`` with the bound
+    A finished run exposes the counters and run metrics its
+    ``run_finished`` record carries; a run still in flight (or killed)
+    exposes progress gauges folded from the journal so far.  Binds
+    ``host:port`` (port 0 = ephemeral), optionally signals ``started``
+    (a ``threading.Event`` with the bound
     port stashed on ``started.port``) and handles exactly ``requests``
     requests before returning the bound port — one-shot by design: the
     monitor is a pull-based exposition endpoint, not a daemon.
     """
     from http.server import BaseHTTPRequestHandler, HTTPServer
 
-    live_log = Path(live_log)
-    prom = live_log.with_name(live_log.name + ".prom")
-
     def _payload() -> str:
-        if prom.exists():
-            return prom.read_text(encoding="utf-8")
         from repro.obs.openmetrics import render_openmetrics
 
-        summary, _report = monitor_once(live_log)
-        return render_openmetrics(live_summary=summary)
+        summary, _report = monitor_once(journal)
+        return render_openmetrics(
+            summary["counters"], summary["run_metrics"], live_summary=summary
+        )
 
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self) -> None:  # noqa: N802 - http.server API

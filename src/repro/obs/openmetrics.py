@@ -6,8 +6,8 @@ counters plus power-of-two histograms — in the OpenMetrics text format
 histograms expand to cumulative ``_bucket{le=...}`` series plus
 ``_sum``/``_count``, and :class:`~repro.runtime.metrics.RunMetrics`
 fields become gauges.  The output ends with the mandatory ``# EOF``
-terminator and is written as a ``<live-log>.prom`` snapshot at the end
-of a ``--live-log`` run, served one-shot by ``repro monitor --serve``.
+terminator; ``repro monitor --serve`` renders it one-shot from the run
+journal.
 
 Naming conventions (documented in docs/observability.md):
 
@@ -100,7 +100,8 @@ def render_openmetrics(
     ``CounterRegistry.snapshot()``, ``run_metrics`` a
     ``RunMetrics.to_dict()``, and ``live_summary`` a
     ``summarize_live()`` fold (used by ``repro monitor --serve`` when
-    the run died before writing its ``.prom`` snapshot).
+    the journal has no ``run_finished`` yet: the run is in flight or
+    was killed).
     """
     lines: list[str] = []
 

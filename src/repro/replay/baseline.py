@@ -3,10 +3,11 @@
 A *baseline* is one completed ``mc`` campaign with full per-replica
 results, recoverable from either durable artefact the runtime writes:
 
-* a **checkpoint ledger** (``--checkpoint PATH``): the ledger stores the
-  pickled :class:`~repro.runtime.runner.ReplicaResult` values verbatim —
-  including per-replica obs counters and trace records — so any
-  campaign, observability on or off, can be replayed from it;
+* a **run journal** (``--checkpoint PATH`` or ``--live-log PATH``): the
+  journal stores the pickled :class:`~repro.runtime.runner.ReplicaResult`
+  values verbatim — including per-replica obs counters and trace
+  records — so any campaign, observability on or off, can be replayed
+  from it;
 * a **columnar store part** (``--store DIR``): the CSR tables hold the
   plan events, per-mechanism counts and final alpha/trust state of each
   replica, from which the exact
@@ -14,7 +15,7 @@ results, recoverable from either durable artefact the runtime writes:
   obs-disabled run is rebuilt column by column.  Runs recorded with
   observability enabled cannot be reconstructed from the store (the
   per-replica counter snapshots are merged away at write time); they are
-  rejected with a pointer at the ledger.
+  rejected with a pointer at the journal.
 
 Both loaders end in the same validation: the campaign spec is rebuilt
 from the recorded CLI parameters and its
@@ -109,7 +110,7 @@ def _verify_digest(
 
 
 def load_checkpoint_baseline(path: str | Path) -> CampaignBaseline:
-    """Load a baseline from a checkpoint ledger written by ``mc``."""
+    """Load a baseline from a run journal written by ``mc``."""
     path = Path(path)
     state = load_ledger(path)
     meta = state.meta

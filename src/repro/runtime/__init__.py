@@ -19,16 +19,16 @@ Design contract
   can duplicate or lose a replica; unrecovered chunks are retried with
   exponential backoff and finish serially in the parent (or are
   salvaged into an explicit partial outcome, policy-dependent).
-* With a checkpoint ledger (:mod:`repro.runtime.checkpoint`) every
-  completed chunk is durably appended, so an interrupted campaign
-  resumes where it stopped and still reduces bit-identically.
+* With a run journal (:mod:`repro.runtime.checkpoint`) every completed
+  chunk is durably appended, so an interrupted campaign resumes where it
+  stopped and still reduces bit-identically.
 
 See ``docs/parallel_runtime.md`` for the full scheme.
 """
 
 from repro.runtime.checkpoint import (
-    CheckpointLedger,
     LedgerState,
+    RunJournal,
     load_ledger,
     read_header,
     spec_digest,
@@ -49,12 +49,12 @@ from repro.runtime.seeds import (
 )
 
 __all__ = [
-    "CheckpointLedger",
     "LedgerState",
     "ParallelCampaignRunner",
     "ReplicaFailure",
     "ReplicaResult",
     "ReplicaTask",
+    "RunJournal",
     "RunMetrics",
     "RunOutcome",
     "load_ledger",

@@ -1,28 +1,27 @@
-"""Durable chunk-granular checkpoint ledger for campaign runs.
+"""The run journal: one durable JSONL record of a campaign run.
 
 Long Monte-Carlo campaigns (the regime where the paper's §III-E rates
 and Fig. 11 accuracies stabilise) must survive faults in their own
 runner: a killed process should cost at most the chunks in flight, not
-hours of completed replicas.  The ledger is an append-only JSONL file
-written next to the campaign:
-
-* a **header** line binds the ledger to one campaign — root seed, a
-  SHA-256 digest of ``(root_seed, specs)``, replica count, chunk size,
-  worker count, plus optional CLI provenance (``command``/``params``)
-  that lets ``python -m repro resume PATH`` rebuild the exact
-  invocation;
-* one **chunk** line per completed chunk — the replica indices, each
-  replica's seed-stream fingerprint
-  (:func:`repro.runtime.seeds.stream_fingerprint`), and the pickled
-  :class:`~repro.runtime.runner.ReplicaResult` list (base64) guarded by
-  a SHA-256 checksum.  Lines are flushed and fsynced as they are
-  appended, so a SIGKILL can lose at most the line being written;
-* **resume** / **close** marker lines recording how each session of the
-  campaign started and ended (ledger provenance).
+hours of completed replicas.  Every run given a ``--checkpoint`` or a
+``--live-log`` path writes one append-only JSONL journal there, read by
+``repro resume``, ``repro monitor`` and the ``repro whatif`` baseline
+loader alike (record table: ``docs/observability.md``).  A **header**
+line binds it to one campaign — root seed, a SHA-256 digest of
+``(root_seed, specs)``, replica count, chunk size, workers, plus the CLI
+provenance (``command``/``params``) ``python -m repro resume PATH``
+rebuilds the invocation from.  Every **chunk_done** with fresh results
+carries the replica indices, their seed-stream fingerprints
+(:func:`repro.runtime.seeds.stream_fingerprint`) and the pickled
+:class:`~repro.runtime.runner.ReplicaResult` list (base64) guarded by a
+SHA-256 checksum.  Those records and ``run_finished`` are fsynced before
+the write returns, so a SIGKILL can lose at most the line being written;
+every other record is flushed at once and fsynced on an amortized
+schedule.
 
 Determinism contract
 --------------------
-The ledger stores *full per-replica values*, so a resumed run hands the
+The journal stores *full per-replica values*, so a resumed run hands the
 reduce exactly the same index-ordered value list an uninterrupted run
 would: interrupted-then-resumed ≡ uninterrupted ≡ ``workers=1``, bit
 for bit, including canonical obs digests (replica trace records travel
@@ -35,7 +34,8 @@ JSON parsing, checksum verification, stream-fingerprint verification or
 unpickling is skipped (and counted), and the replicas it covered are
 simply re-executed.  A header that does not match the campaign being
 resumed raises :class:`~repro.errors.ConfigurationError` instead of
-silently mixing two experiments.
+silently mixing two experiments.  Version-1 checkpoint ledgers (``chunk``
+/ ``resume`` / ``close`` lines) still load and resume.
 """
 
 from __future__ import annotations
@@ -47,17 +47,20 @@ import os
 import pickle
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, JournalAliasError
 from repro.obs import state as _obs_state
+from repro.obs.live import JOURNAL_VERSION, read_journal
 from repro.runtime.runner import ReplicaResult
 from repro.runtime.seeds import stream_fingerprint
 
-#: Ledger schema version (bump on incompatible layout changes).
-LEDGER_VERSION = 1
+#: Amortized fsync schedule of records that carry no result: at most
+#: one fsync per interval or per this many records, whichever is first.
+_FSYNC_INTERVAL_S = 1.0
+_FSYNC_EVERY = 64
 
 #: Pickle protocol pinned so spec digests are stable across sessions.
 _PICKLE_PROTOCOL = 4
@@ -113,54 +116,62 @@ class LedgerState:
     skipped_lines: int = 0
 
 
+def read_header(path: str | Path) -> dict[str, Any]:
+    """The validated header alone, from the first line (``repro resume``
+    dispatch): no result payload is decoded."""
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            line = fh.readline()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read ledger {path}: {exc}") from exc
+    if not line.strip():
+        raise ConfigurationError(f"ledger {path} is empty")
+    try:
+        meta = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(
+            f"ledger {path} has no parseable header line: {exc}"
+        ) from exc
+    if not isinstance(meta, dict) or meta.get("kind") != "header":
+        raise ConfigurationError(
+            f"ledger {path} does not start with a header line"
+        )
+    version = meta.get("version")
+    if version not in (1, JOURNAL_VERSION):
+        raise ConfigurationError(
+            f"ledger {path} has unsupported version {version!r} "
+            f"(supported: 1, {JOURNAL_VERSION})"
+        )
+    return meta
+
+
 def load_ledger(path: str | Path) -> LedgerState:
-    """Parse a ledger, tolerating a truncated or corrupted tail.
+    """Parse a journal (or a version-1 ledger), tolerating a truncated
+    or corrupted tail.
 
     The header must parse (a campaign cannot be identified without it);
     every later line is best-effort — bad lines are skipped and counted,
     duplicate replica indices keep the first occurrence.
     """
     path = Path(path)
+    meta = read_header(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        records, skipped = read_journal(path)
     except OSError as exc:
         raise ConfigurationError(f"cannot read ledger {path}: {exc}") from exc
-    if not lines:
-        raise ConfigurationError(f"ledger {path} is empty")
-    try:
-        meta = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"ledger {path} has no parseable header line: {exc}"
-        ) from exc
-    if meta.get("kind") != "header":
-        raise ConfigurationError(
-            f"ledger {path} does not start with a header line"
-        )
-    version = meta.get("version")
-    if version != LEDGER_VERSION:
-        raise ConfigurationError(
-            f"ledger {path} has unsupported version {version!r} "
-            f"(supported: {LEDGER_VERSION})"
-        )
     root_seed = int(meta.get("root_seed", 0))
     replicas = int(meta.get("replicas", 0))
     results_by_index: dict[int, ReplicaResult] = {}
-    sessions = 1
-    skipped = 0
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1  # truncated tail or torn write
-            continue
+    # A version-1 ledger marks resumed sessions only; the journal marks
+    # every session with ``run_started``.
+    sessions = 1 if meta.get("version") == 1 else 0
+    for record in records[1:]:
         kind = record.get("kind")
-        if kind == "resume":
+        if kind in ("run_started", "resume"):
             sessions += 1
             continue
-        if kind != "chunk":
+        if kind != "chunk" and not (kind == "chunk_done" and "payload" in record):
             continue
         try:
             results = _decode_results(
@@ -182,25 +193,28 @@ def load_ledger(path: str | Path) -> LedgerState:
     return LedgerState(
         meta=meta,
         results_by_index=results_by_index,
-        sessions=sessions,
+        sessions=max(sessions, 1),
         skipped_lines=skipped,
     )
 
 
-def read_header(path: str | Path) -> dict[str, Any]:
-    """The header line alone (``repro resume`` dispatch)."""
-    return load_ledger(path).meta
+class RunJournal:
+    """Writer half of the journal; one instance per runner session.
 
+    :meth:`write` is the one append path, and the journal is a sink of
+    the runner's :class:`~repro.obs.live.LiveEventBus`.
+    """
 
-@dataclass(slots=True)
-class CheckpointLedger:
-    """Appender half of the ledger; one instance per runner session."""
-
-    path: Path
-    root_seed: int
-    replicas: int
-    chunks_written: int = 0
-    _closed: bool = field(default=False, repr=False)
+    def __init__(
+        self, path: Path, root_seed: int, fh, session: dict[str, int]
+    ) -> None:
+        self.path = path
+        self.root_seed = root_seed
+        #: Extra ``run_started`` fields of a resumed session.
+        self.session = session
+        self._fh = fh
+        self._since_fsync = 0
+        self._last_fsync = time.monotonic()
 
     @classmethod
     def open(
@@ -214,17 +228,21 @@ class CheckpointLedger:
         resume: bool,
         command: str | None = None,
         params: dict[str, Any] | None = None,
-    ) -> tuple["CheckpointLedger", dict[int, ReplicaResult]]:
-        """Open the ledger for one runner session.
+        alias: str | Path | None = None,
+    ) -> tuple["RunJournal", dict[int, ReplicaResult]]:
+        """Open the journal for one runner session.
 
         Fresh runs (or ``resume`` against a missing file) truncate and
         write a new header; resumes validate the existing header against
-        the campaign and return the replica results already covered.
+        the campaign, append to the journal and return the replica
+        results already covered.  ``alias`` becomes a hard link to the
+        journal (:class:`~repro.errors.JournalAliasError` if it cannot).
         """
         path = Path(path)
         digest = spec_digest(root_seed, specs)
         preloaded: dict[int, ReplicaResult] = {}
-        ledger = cls(path=path, root_seed=int(root_seed), replicas=len(specs))
+        session: dict[str, int] = {}
+        header = None
         if resume and path.exists():
             state = load_ledger(path)
             meta = state.meta
@@ -243,15 +261,11 @@ class CheckpointLedger:
                     "campaign — " + "; ".join(mismatches)
                 )
             preloaded = state.results_by_index
-            ledger._append(
-                {
-                    "kind": "resume",
-                    "session": state.sessions + 1,
-                    "loaded": len(preloaded),
-                    "skipped_lines": state.skipped_lines,
-                    "wall": time.time(),
-                }
-            )
+            session = {
+                "session": state.sessions + 1,
+                "loaded": len(preloaded),
+                "skipped_lines": state.skipped_lines,
+            }
             _obs_event(
                 "checkpoint.resume",
                 path=str(path),
@@ -261,7 +275,7 @@ class CheckpointLedger:
         else:
             header = {
                 "kind": "header",
-                "version": LEDGER_VERSION,
+                "version": JOURNAL_VERSION,
                 "root_seed": int(root_seed),
                 "replicas": len(specs),
                 "chunk_size": int(chunk_size),
@@ -273,65 +287,74 @@ class CheckpointLedger:
                 header["command"] = command
             if params is not None:
                 header["params"] = params
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("", encoding="utf-8")  # truncate stale ledger
-            ledger._append(header)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = path.open("w" if header else "a", encoding="utf-8")
+        journal = cls(path, int(root_seed), fh, session)
+        if alias is not None:
+            journal._alias(Path(alias))
+        if header:
+            journal.write(header)
             _obs_event(
                 "checkpoint.open", path=str(path), replicas=len(specs)
             )
-        return ledger, preloaded
+        return journal, preloaded
 
-    def append_chunk(self, results: Sequence[ReplicaResult]) -> None:
-        """Durably record one completed chunk of replica results."""
+    def _alias(self, alias: Path) -> None:
+        try:
+            if alias.exists() and os.path.samefile(alias, self.path):
+                return
+            alias.parent.mkdir(parents=True, exist_ok=True)
+            alias.unlink(missing_ok=True)
+            os.link(self.path, alias)
+        except OSError as exc:
+            self.close()
+            raise JournalAliasError(
+                f"cannot make {alias} a second name of the run journal "
+                f"{self.path}: {exc}"
+            ) from exc
+
+    def chunk_fields(self, results: Sequence[ReplicaResult]) -> dict[str, Any]:
+        """The result payload one ``chunk_done`` record carries."""
         payload, checksum = _encode_results(results)
-        indices = [r.index for r in results]
-        self._append(
-            {
-                "kind": "chunk",
-                "chunk": self.chunks_written,
-                "indices": indices,
-                "streams": {
-                    str(r.index): stream_fingerprint(
-                        self.root_seed, r.index
-                    )
-                    for r in results
-                },
-                "payload": payload,
-                "sha256": checksum,
-                "wall": time.time(),
-            }
-        )
-        self.chunks_written += 1
-        _obs_event(
-            "checkpoint.chunk", path=str(self.path), indices=indices
-        )
+        return {
+            "indices": [r.index for r in results],
+            "streams": {
+                str(r.index): stream_fingerprint(self.root_seed, r.index)
+                for r in results
+            },
+            "payload": payload,
+            "sha256": checksum,
+        }
 
-    def close(self, *, completed: int, failed: int) -> None:
-        """Record how this session ended (idempotent)."""
-        if self._closed:
+    def write(self, record: dict[str, Any]) -> None:
+        """Append one record; results and the run's end are durable
+        before this returns."""
+        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.flush()
+        self._since_fsync += 1
+        now = time.monotonic()
+        durable = "payload" in record or record.get("kind") == "run_finished"
+        if (
+            durable
+            or self._since_fsync >= _FSYNC_EVERY
+            or now - self._last_fsync >= _FSYNC_INTERVAL_S
+        ):
+            os.fsync(self._fh.fileno())
+            self._since_fsync = 0
+            self._last_fsync = now
+        if "payload" in record:
+            _obs_event(
+                "checkpoint.chunk",
+                path=str(self.path),
+                indices=record["indices"],
+            )
+
+    def close(self) -> None:
+        """Make everything written durable and close the file
+        (idempotent)."""
+        if self._fh.closed:
             return
-        self._closed = True
-        self._append(
-            {
-                "kind": "close",
-                "completed": int(completed),
-                "failed": int(failed),
-                "complete": completed >= self.replicas,
-                "wall": time.time(),
-            }
-        )
-        _obs_event(
-            "checkpoint.close",
-            path=str(self.path),
-            completed=completed,
-            failed=failed,
-        )
-
-    # -- internals --------------------------------------------------------
-
-    def _append(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+        self._fh.close()
+        _obs_event("checkpoint.close", path=str(self.path))

@@ -19,7 +19,7 @@ The aggregate is a pure function of ``(root_seed, specs)``:
 Hence ``workers=1`` and ``workers=64`` produce bit-identical aggregates,
 which the test suite asserts (``tests/runtime/``).  The same contract
 extends to interruption: a run that is killed and resumed from its
-checkpoint ledger reduces to the identical aggregate (see
+run journal reduces to the identical aggregate (see
 :mod:`repro.runtime.checkpoint`).
 
 Execution
@@ -29,8 +29,8 @@ pending chunks either in the parent, one chunk at a time
 (``workers=1``, or a single replica), or on a spawn pool; the exhaustion
 fallback is one more in-parent pass.  Every completed chunk, wherever it
 ran, goes through one record step: pop the chunk from ``pending``,
-dedupe results by replica index, record failures, emit ``chunk_done``,
-append to the checkpoint ledger, emit ``checkpoint_flushed``.
+dedupe results by replica index, record failures, write one
+``chunk_done`` record carrying the fresh results to the run journal.
 
 Fault tolerance
 ---------------
@@ -265,10 +265,13 @@ class _Attempts:
     ``pending`` maps chunk id to the replicas of that chunk not yet
     recorded; ``failed`` holds the replicas that raised in the attempt
     in progress (``attempt``, 1-based); ``leaked`` collects the pids of
-    pool workers that outlived their pool's bounded shutdown.
+    pool workers that outlived their pool's bounded shutdown.  ``bus``
+    reaches the run journal and any explicit live bus; ``monitor`` is
+    set when live telemetry is on.
     """
 
-    ledger: Any
+    journal: Any
+    bus: Any
     monitor: Any
     results: dict[int, ReplicaResult]
     failures: dict[int, ReplicaFailure] = field(default_factory=dict)
@@ -287,9 +290,8 @@ class _Attempts:
         recorded and results dedupe by replica index, so no interleaving
         of crash, completion and stall duplicate can double-count a
         replica; a duplicate that finishes second records nothing.  The
-        ``checkpoint_flushed`` record follows ``append_chunk``, which
-        fsyncs, so telemetry never claims durability the ledger has not
-        delivered.
+        chunk's one ``chunk_done`` record carries its fresh results, and
+        the journal fsyncs it before the write returns.
         """
         if self.pending.pop(cid, None) is None:
             return
@@ -306,19 +308,19 @@ class _Attempts:
                 self.results[r.index] = r
                 self.failures.pop(r.index, None)
                 fresh.append(r)
+        if self.bus is None:
+            return
+        fields = {
+            "worker": out[0].worker,
+            "replicas": len(fresh),
+            "events": sum(r.events for r in fresh),
+        }
+        if self.journal is not None and fresh:
+            fields.update(self.journal.chunk_fields(fresh))
         if self.monitor is not None:
-            self.monitor.chunk_done(
-                cid,
-                worker=out[0].worker,
-                replicas=len(fresh),
-                events=sum(r.events for r in fresh),
-            )
-        if self.ledger is not None and fresh:
-            self.ledger.append_chunk(fresh)
-            if self.monitor is not None:
-                self.monitor.bus.emit(
-                    "checkpoint_flushed", replicas=len(fresh)
-                )
+            self.monitor.chunk_done(cid, **fields)
+        else:
+            self.bus.emit("chunk_done", chunk=cid, **fields)
 
 
 class ParallelCampaignRunner:
@@ -463,13 +465,18 @@ class ParallelCampaignRunner:
         ``SeedSequence(root_seed, spawn_key=(i,))``.  Pass ``range(n)``
         (or ``[spec] * n``) for homogeneous campaigns.
 
-        With ``checkpoint`` every completed chunk is appended to a
-        durable JSONL ledger at that path; ``resume=True`` additionally
-        loads any matching ledger first and re-executes only the
-        replicas it does not cover.  The reduced aggregate of an
-        interrupted-then-resumed run is bit-identical to an
-        uninterrupted one (the ledger stores the full per-replica
+        With ``checkpoint`` or ``live_log`` the run writes its JSONL
+        journal at that path (:mod:`repro.runtime.checkpoint`): every
+        completed chunk is durably appended, and ``resume=True``
+        additionally loads any matching journal first, appends to it and
+        re-executes only the replicas it does not cover.  The reduced
+        aggregate of an interrupted-then-resumed run is bit-identical to
+        an uninterrupted one (the journal stores the full per-replica
         values, and the reduce always sees all of them in index order).
+        Given both paths, different, ``live_log`` becomes a hard link to
+        the journal at ``checkpoint``
+        (:class:`~repro.errors.JournalAliasError` before any replica
+        runs if it cannot).
 
         With ``store`` the reduced outcome is additionally flattened
         into the columnar campaign store rooted at that directory
@@ -493,14 +500,13 @@ class ParallelCampaignRunner:
         With ``live_log`` (or an explicit ``live`` bus, a
         :class:`repro.obs.live.LiveEventBus`) the run additionally
         streams lifecycle telemetry — chunk submissions/completions,
-        worker heartbeats, retries, checkpoint flushes, stall and
-        straggler flags — to a schema-versioned JSONL sidecar, plus an
-        OpenMetrics ``<live_log>.prom`` snapshot at the end.  Live
-        records carry wall-clock fields and are excluded from every
-        canonical digest; the simulation itself is untouched (the
-        telemetry-on aggregate is bit-identical to telemetry-off, which
-        ``tests/obs/test_live.py`` asserts).  Without either argument
-        the runner takes the exact pre-telemetry code path.
+        worker heartbeats, retries, stall and straggler flags — to the
+        journal and to ``live``.  Live records carry wall-clock fields
+        and are excluded from every canonical digest; the simulation
+        itself is untouched (the telemetry-on aggregate is bit-identical
+        to telemetry-off, which ``tests/obs/test_live.py`` asserts).
+        Without either argument the runner takes the exact
+        pre-telemetry code path: no heartbeats, no stall detection.
         """
         tasks = [
             ReplicaTask(index=i, root_seed=int(root_seed), spec=spec)
@@ -543,14 +549,15 @@ class ParallelCampaignRunner:
                     f"result.index={result.index!r}"
                 )
 
-        ledger = None
+        journal = None
         preloaded = spliced
-        if checkpoint is not None:
-            from repro.runtime.checkpoint import CheckpointLedger
+        journal_path = checkpoint if checkpoint is not None else live_log
+        if journal_path is not None:
+            from repro.runtime.checkpoint import RunJournal
 
             meta = checkpoint_meta or {}
-            ledger, resumed = CheckpointLedger.open(
-                checkpoint,
+            journal, resumed = RunJournal.open(
+                journal_path,
                 root_seed=int(root_seed),
                 specs=specs,
                 chunk_size=chunk_size,
@@ -558,25 +565,22 @@ class ParallelCampaignRunner:
                 resume=resume,
                 command=meta.get("command"),
                 params=meta.get("params"),
+                alias=live_log if checkpoint is not None else None,
             )
-            # Ledger-resumed results fill the gaps; explicit splices win.
+            # Journal-resumed results fill the gaps; explicit splices win.
             preloaded = {**resumed, **preloaded}
 
-        bus = live
-        owns_bus = bus is None and live_log is not None
+        sinks = [sink for sink in (journal, live) if sink is not None]
+        bus = None
         monitor = None
         heartbeat_dir = None
         pooled = not (self.workers == 1 or len(tasks) <= 1)
-        if bus is not None or live_log is not None:
-            # Lazy import: runs without telemetry never pay for it.
-            from repro.obs.live import (
-                JsonlLiveSink,
-                LiveEventBus,
-                LiveRunMonitor,
-            )
+        if sinks:
+            # Lazy import: runs without a journal or telemetry never pay
+            # for it.
+            from repro.obs.live import LiveEventBus, LiveRunMonitor
 
-            if bus is None:
-                bus = LiveEventBus([JsonlLiveSink(live_log)])
+            bus = LiveEventBus(sinks)
             meta = {**(store_meta or {}), **(checkpoint_meta or {})}
             bus.emit(
                 "run_started",
@@ -586,7 +590,9 @@ class ParallelCampaignRunner:
                 chunk_size=chunk_size,
                 command=meta.get("command"),
                 root_seed=int(root_seed),
+                **(journal.session if journal is not None else {}),
             )
+        if live is not None or live_log is not None:
             if pooled:
                 heartbeat_dir = tempfile.mkdtemp(prefix="repro-live-hb-")
             monitor = LiveRunMonitor(
@@ -598,21 +604,19 @@ class ParallelCampaignRunner:
             )
 
         t0 = time.perf_counter()
-        state = _Attempts(ledger, monitor, results=dict(preloaded))
+        state = _Attempts(journal, bus, monitor, results=dict(preloaded))
         try:
             results = self._run_attempts(state, tasks, chunk_size, pooled)
             wall = time.perf_counter() - t0
         except BaseException:
-            if owns_bus and bus is not None:
-                bus.close()
+            if journal is not None:
+                journal.close()
             raise
         finally:
             if heartbeat_dir is not None:
                 shutil.rmtree(heartbeat_dir, ignore_errors=True)
         results.sort(key=lambda r: r.index)
         failures = state.failures
-        if ledger is not None:
-            ledger.close(completed=len(results), failed=len(failures))
 
         expected = set(range(len(tasks)))
         have = {r.index for r in results}
@@ -658,15 +662,19 @@ class ParallelCampaignRunner:
             failures=tuple(failures[i] for i in sorted(failures)),
         )
         if bus is not None:
+            counters = getattr(value, "obs_counters", None)
             bus.emit(
                 "run_finished",
                 metrics=metrics.to_dict(),
                 failures=len(outcome.failures),
                 stalls=monitor.stall_count if monitor is not None else 0,
+                completed=len(results),
+                failed=len(failures),
+                complete=len(results) >= len(tasks),
+                counters=counters if isinstance(counters, dict) else None,
             )
-            if owns_bus:
-                self._write_prom_snapshot(live_log, outcome)
-                bus.close()
+        if journal is not None:
+            journal.close()
         if store is not None:
             # Deferred import: the storage package is sim-free and the
             # runner must stay importable without it paying for (or the
@@ -864,31 +872,6 @@ class ParallelCampaignRunner:
             pass
         finally:
             state.leaked.extend(self._shutdown_executor(executor))
-
-    @staticmethod
-    def _write_prom_snapshot(
-        live_log: str | Path, outcome: RunOutcome
-    ) -> None:
-        """OpenMetrics snapshot next to the live log (``<name>.prom``).
-
-        Counters ride on the aggregate when the workload collected them
-        (``outcome.value.obs_counters``, the same duck-typed snapshot
-        the columnar store persists); run metrics become gauges either
-        way.  Best-effort — exposition must never fail a run.
-        """
-        try:
-            from repro.obs.openmetrics import render_openmetrics
-
-            snapshot = getattr(outcome.value, "obs_counters", None)
-            text = render_openmetrics(
-                snapshot if isinstance(snapshot, dict) else None,
-                outcome.metrics.to_dict(),
-            )
-            path = Path(live_log)
-            prom = path.with_name(path.name + ".prom")
-            prom.write_text(text, encoding="utf-8")
-        except OSError:  # pragma: no cover - disk-full etc.
-            pass
 
     def _shutdown_executor(self, executor: ProcessPoolExecutor) -> list[int]:
         """Tear a pool down with a bounded wait; report leaked workers.

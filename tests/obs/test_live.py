@@ -2,10 +2,11 @@
 
 Three contracts from the live-telemetry design are pinned here:
 
-* **Schema + durability** — every live log starts with a versioned
-  ``live_header`` line, the reader tolerates a torn tail (SIGKILL), and
-  the one-shot monitor report is a *pure function of the file bytes*
-  (committed golden, byte for byte).
+* **Schema + durability** — every run journal starts with a versioned
+  ``header`` line, results and the run's end are fsynced at once, the
+  reader tolerates a torn tail (SIGKILL), and the one-shot monitor
+  report is a *pure function of the file bytes* (committed goldens,
+  byte for byte).
 * **Stall/straggler detection** — the parent-side monitor folds worker
   heartbeats with an injectable clock, flags stragglers once against the
   median chunk latency, and reports stalled chunks for resubmission.
@@ -18,6 +19,7 @@ Three contracts from the live-telemetry design are pinned here:
 from __future__ import annotations
 
 import json
+import os
 import threading
 import urllib.request
 from pathlib import Path
@@ -25,21 +27,23 @@ from pathlib import Path
 import pytest
 
 from repro.obs.live import (
-    LIVE_EVENT_KINDS,
-    LIVE_SCHEMA_VERSION,
-    JsonlLiveSink,
+    JOURNAL_KINDS,
+    JOURNAL_VERSION,
     LiveEventBus,
     LiveRunMonitor,
     MemoryLiveSink,
     monitor_once,
     read_heartbeat,
-    read_live_log,
+    read_journal,
     render_monitor_report,
     serve_metrics_once,
     stamp_heartbeat,
     summarize_live,
 )
-from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask
+from repro.obs.openmetrics import render_openmetrics
+from repro.runtime import checkpoint
+from repro.runtime.checkpoint import RunJournal
+from repro.runtime.runner import ParallelCampaignRunner, ReplicaResult, ReplicaTask
 
 DATA = Path(__file__).parent.parent / "data"
 GOLDEN_LOG = DATA / "golden_live_log.jsonl"
@@ -64,22 +68,35 @@ def double_task(replica: ReplicaTask) -> int:
 # -- sinks and bus ------------------------------------------------------------
 
 
+def _open_journal(path, replicas=3):
+    journal, preloaded = RunJournal.open(
+        path,
+        root_seed=0,
+        specs=[None] * replicas,
+        chunk_size=1,
+        workers=1,
+        resume=False,
+    )
+    assert preloaded == {}
+    return journal
+
+
 def test_jsonl_sink_header_first_and_parseable(tmp_path):
     path = tmp_path / "live.jsonl"
-    bus = LiveEventBus([JsonlLiveSink(path)], clock=FakeClock())
+    bus = LiveEventBus([_open_journal(path)], clock=FakeClock())
     bus.emit("run_started", replicas=3)
     bus.emit("chunk_done", chunk=0, replicas=3)
     bus.close()
-    records, skipped = read_live_log(path)
+    records, skipped = read_journal(path)
     assert skipped == 0
     assert [r["kind"] for r in records] == [
-        "live_header",
+        "header",
         "run_started",
         "chunk_done",
     ]
-    assert records[0]["schema"] == LIVE_SCHEMA_VERSION
+    assert records[0]["version"] == JOURNAL_VERSION == 2
     assert records[1]["replicas"] == 3
-    assert all("t_wall" in r for r in records)
+    assert all("t_wall" in r for r in records[1:])
 
 
 def test_bus_without_sinks_is_a_noop():
@@ -95,21 +112,38 @@ def test_memory_sink_records_injected_clock_times():
     bus.emit("progress", replicas_done=1)
     clock.now = 6.5
     bus.emit("progress", replicas_done=2)
-    assert [r["t_wall"] for r in sink.records] == [5.0, 5.0, 6.5]
-    assert sink.records[0]["kind"] == "live_header"
+    assert [r["t_wall"] for r in sink.records] == [5.0, 6.5]
+    assert sink.records[0]["kind"] == "progress"
 
 
-def test_sink_fsync_every_record_when_configured(tmp_path):
-    path = tmp_path / "live.jsonl"
-    sink = JsonlLiveSink(path, fsync_every=1)
-    bus = LiveEventBus([sink])
+def test_journal_fsyncs_results_and_the_run_end_at_once(tmp_path, monkeypatch):
+    """Telemetry is flushed at once but fsynced on the amortized
+    schedule; a payload-carrying ``chunk_done`` and ``run_finished`` are
+    fsynced before the write returns."""
+    fsyncs: list[int] = []
+    real_fsync = checkpoint.os.fsync
+    monkeypatch.setattr(checkpoint, "_FSYNC_INTERVAL_S", 1e9)
+    monkeypatch.setattr(
+        checkpoint.os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
+    )
+    path = tmp_path / "run.jsonl"
+    journal = _open_journal(path)
+    bus = LiveEventBus([journal])
     for i in range(5):
         bus.emit("progress", replicas_done=i)
-    # Durable before close: a reader sees every record already.
-    records, skipped = read_live_log(path)
+    assert fsyncs == []
+    # Flushed before close: a reader sees every record already.
+    records, skipped = read_journal(path)
     assert len(records) == 6  # header + 5
     assert skipped == 0
-    bus.close()
+    result = ReplicaResult(index=0, value=0, events=0, elapsed_s=0.0, worker="w")
+    bus.emit("chunk_done", chunk=0, **journal.chunk_fields([result]))
+    assert len(fsyncs) == 1
+    bus.emit("chunk_done", chunk=1, replicas=0)  # no results: amortized
+    assert len(fsyncs) == 1
+    bus.emit("run_finished", completed=1)
+    assert len(fsyncs) == 2
+    journal.close()
 
 
 # -- worker heartbeats --------------------------------------------------------
@@ -144,6 +178,7 @@ def test_read_heartbeat_tolerates_missing_and_garbage(tmp_path):
 
 
 def test_read_live_log_skips_torn_tail(tmp_path):
+    """A live log from before the run journal still parses."""
     path = tmp_path / "live.jsonl"
     path.write_text(
         json.dumps({"kind": "live_header", "schema": 1, "t_wall": 1.0})
@@ -153,14 +188,14 @@ def test_read_live_log_skips_torn_tail(tmp_path):
         + "[]\n"  # valid JSON, not a dict
         + '{"kind": "chunk_done", "t_wa'  # torn mid-record by SIGKILL
     )
-    records, skipped = read_live_log(path)
+    records, skipped = read_journal(path)
     assert [r["kind"] for r in records] == ["live_header", "run_started"]
     assert skipped == 2
 
 
 def test_read_live_log_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
-        read_live_log(tmp_path / "nope.jsonl")
+        read_journal(tmp_path / "nope.jsonl")
 
 
 # -- monitor fold: heartbeats, stragglers, stalls ----------------------------
@@ -295,9 +330,9 @@ def test_monitor_progress_throughput_and_eta(tmp_path):
 
 
 def test_summarize_live_golden_fixture():
-    records, skipped = read_live_log(GOLDEN_LOG)
+    records, skipped = read_journal(GOLDEN_LOG)
     summary = summarize_live(records, skipped_lines=skipped)
-    assert summary["schema"] == LIVE_SCHEMA_VERSION
+    assert summary["schema"] == 1
     assert summary["command"] == "mc"
     assert "backend" not in summary
     assert summary["workers_requested"] == 2
@@ -346,11 +381,11 @@ def test_runner_serial_live_log_end_to_end(tmp_path):
         [None] * 5, root_seed=3, live_log=path
     )
     assert outcome.value == (0, 2, 4, 6, 8)
-    records, skipped = read_live_log(path)
+    records, skipped = read_journal(path)
     assert skipped == 0
     kinds = {r["kind"] for r in records}
-    assert kinds <= set(LIVE_EVENT_KINDS)
-    assert {"live_header", "run_started", "chunk_submitted", "chunk_done",
+    assert kinds <= set(JOURNAL_KINDS)
+    assert {"header", "run_started", "chunk_submitted", "chunk_done",
             "progress", "run_finished"} <= kinds
     summary = summarize_live(records)
     assert summary["finished"] is True
@@ -359,11 +394,8 @@ def test_runner_serial_live_log_end_to_end(tmp_path):
         "serial": {"replicas": 5, "events": 0, "chunks": 3}
     }
     assert summary["run_metrics"]["replicas"] == 5
-    # The OpenMetrics snapshot rides along.
-    prom = tmp_path / "live.jsonl.prom"
-    text = prom.read_text(encoding="utf-8")
-    assert text.endswith("# EOF\n")
-    assert "repro_run_replicas 5" in text
+    # One file per run: no OpenMetrics sidecar next to the journal.
+    assert [p.name for p in tmp_path.iterdir()] == ["live.jsonl"]
 
 
 def test_runner_pool_live_log_reports_pool_workers(tmp_path):
@@ -389,23 +421,25 @@ def test_runner_pool_live_log_reports_pool_workers(tmp_path):
 
 
 def test_runner_checkpoint_flushes_reach_the_live_log(tmp_path):
+    """The live log is a second name of the checkpoint journal, so the
+    flushed results are in it."""
     path = tmp_path / "live.jsonl"
+    ledger = tmp_path / "ledger.jsonl"
     ParallelCampaignRunner(double_task, chunk_size=2).run(
-        [None] * 4,
-        root_seed=1,
-        checkpoint=tmp_path / "ledger.jsonl",
-        live_log=path,
+        [None] * 4, root_seed=1, checkpoint=ledger, live_log=path
     )
-    records, _ = read_live_log(path)
-    flushes = [r for r in records if r["kind"] == "checkpoint_flushed"]
+    assert os.path.samefile(ledger, path)
+    records, _ = read_journal(path)
+    flushes = [r for r in records if "payload" in r]
     assert len(flushes) == 2
     assert all(f["replicas"] == 2 for f in flushes)
+    assert summarize_live(records)["checkpoint_flushes"] == 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_runner_checkpoint_flush_follows_its_chunk_done(tmp_path, workers):
-    """Every worker count records a chunk the same way: ``chunk_done``,
-    then the ledger append, then ``checkpoint_flushed``."""
+def test_runner_writes_one_journal_record_per_chunk(tmp_path, workers):
+    """Every worker count records a chunk the same way: one
+    ``chunk_done`` that carries the chunk's results."""
     path = tmp_path / "live.jsonl"
     ParallelCampaignRunner(double_task, workers=workers, chunk_size=2).run(
         [None] * 4,
@@ -413,14 +447,14 @@ def test_runner_checkpoint_flush_follows_its_chunk_done(tmp_path, workers):
         checkpoint=tmp_path / "ledger.jsonl",
         live_log=path,
     )
-    records, _ = read_live_log(path)
-    kinds = [r["kind"] for r in records]
-    done = [i for i, kind in enumerate(kinds) if kind == "chunk_done"]
-    flushed = [
-        i for i, kind in enumerate(kinds) if kind == "checkpoint_flushed"
+    records, _ = read_journal(path)
+    done = [r for r in records if r["kind"] == "chunk_done"]
+    assert [sorted(r["indices"]) for r in sorted(done, key=lambda r: r["chunk"])] == [
+        [0, 1],
+        [2, 3],
     ]
-    assert len(done) == 2
-    assert flushed == [i + 1 for i in done]
+    assert all("payload" in r and "sha256" in r for r in done)
+    assert "checkpoint_flushed" not in {r["kind"] for r in records}
 
 
 def test_runner_explicit_bus_is_not_closed_by_the_runner(tmp_path):
@@ -428,7 +462,7 @@ def test_runner_explicit_bus_is_not_closed_by_the_runner(tmp_path):
     bus = LiveEventBus([sink])
     ParallelCampaignRunner(double_task).run([None] * 2, root_seed=0, live=bus)
     kinds = [r["kind"] for r in sink.records]
-    assert kinds[0] == "live_header"
+    assert kinds[0] == "run_started"
     assert kinds[-1] == "run_finished"
     bus.emit("progress", replicas_done=0)  # caller still owns the bus
     assert sink.records[-1]["kind"] == "progress"
@@ -464,7 +498,7 @@ def test_live_bus_does_not_perturb_campaign_digests(tmp_path, workers):
     assert on.value.plan_digest == off.value.plan_digest
     # And the live log itself is a valid telemetry stream.
     summary = summarize_live(
-        read_live_log(tmp_path / f"live-{workers}.jsonl")[0]
+        read_journal(tmp_path / f"live-{workers}.jsonl")[0]
     )
     assert summary["finished"] is True
     assert summary["replicas_done"] == 6
@@ -481,12 +515,25 @@ def _scrape(port: int) -> tuple[str, str]:
         return resp.read().decode("utf-8"), resp.headers["Content-Type"]
 
 
-def test_serve_metrics_once_prefers_prom_sidecar(tmp_path):
+def test_serve_metrics_once_matches_the_former_prom_snapshot(tmp_path):
+    """The scrape of a finished run is rendered from its journal, byte
+    for byte the text the ``<live-log>.prom`` snapshot used to hold:
+    the workload's counters plus the run-metrics gauges."""
+    from repro.faults.campaign import CampaignReplicaSpec
+    from repro.runtime.workloads import run_random_campaigns
+    from repro.units import ms
+
     live = tmp_path / "live.jsonl"
-    ParallelCampaignRunner(double_task).run(
-        [None] * 3, root_seed=0, live_log=live
+    spec = CampaignReplicaSpec(
+        expected_faults=3.0, horizon_us=ms(300), obs_enabled=True
     )
-    expected = (tmp_path / "live.jsonl.prom").read_text(encoding="utf-8")
+    outcome = run_random_campaigns(
+        2, root_seed=5, spec=spec, workers=1, live_log=str(live)
+    )
+    assert outcome.value.obs_counters["counters"]
+    expected = render_openmetrics(
+        outcome.value.obs_counters, outcome.metrics.to_dict()
+    )
     started = threading.Event()
     ports: list[int] = []
     started.port = 0  # serve_metrics_once stashes the bound port here
@@ -502,13 +549,14 @@ def test_serve_metrics_once_prefers_prom_sidecar(tmp_path):
     assert body == expected
     assert "openmetrics-text" in content_type
     assert ports == [started.port]
+    assert not (tmp_path / "live.jsonl.prom").exists()
 
 
 def test_serve_metrics_once_renders_degraded_from_live_log(tmp_path):
-    """Without a .prom sidecar (run killed mid-flight) the server derives
-    gauges from the live log alone."""
+    """A run killed mid-flight has no ``run_finished``: the server
+    derives progress gauges from the journal so far."""
     live = tmp_path / "live.jsonl"
-    bus = LiveEventBus([JsonlLiveSink(live)], clock=FakeClock())
+    bus = LiveEventBus([_open_journal(live, replicas=9)], clock=FakeClock())
     bus.emit("run_started", replicas=9, replicas_resumed=0)
     bus.emit("chunk_done", chunk=0, worker="pid-1", replicas=3, events=30)
     bus.close()

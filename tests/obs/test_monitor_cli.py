@@ -23,6 +23,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 DATA = Path(__file__).parent.parent / "data"
 GOLDEN_LOG = DATA / "golden_live_log.jsonl"
 GOLDEN_REPORT = DATA / "golden_monitor_report.txt"
+GOLDEN_JOURNAL = DATA / "golden_journal.jsonl"
+GOLDEN_JOURNAL_REPORT = DATA / "golden_journal_monitor_report.txt"
 
 #: Simulation stack — importing any of these during a monitor is a bug.
 FORBIDDEN_MODULES = (
@@ -104,6 +106,47 @@ def test_monitor_renders_partial_progress_from_truncated_log(tmp_path):
     assert "tolerant tail" in report
 
 
+def test_monitor_journal_report_is_byte_stable(capsys):
+    """The run-journal golden: a killed session, then a resumed one
+    appended to the same file.  The monitor reports the last session."""
+    assert main(["monitor", str(GOLDEN_JOURNAL)]) == 0
+    assert capsys.readouterr().out == GOLDEN_JOURNAL_REPORT.read_text(
+        encoding="utf-8"
+    )
+    assert main(["monitor", str(GOLDEN_JOURNAL), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == 2
+    assert payload["replicas_resumed"] == 2
+    assert payload["replicas_done"] == 4
+    assert payload["checkpoint_flushes"] == 3
+
+
+def test_monitor_journal_killed_after_first_chunk_is_in_flight(tmp_path):
+    """Cut the golden journal where its first session was killed."""
+    from repro.obs.live import monitor_once
+
+    lines = GOLDEN_JOURNAL.read_text(encoding="utf-8").splitlines(True)
+    killed = tmp_path / "killed.jsonl"
+    killed.write_text("".join(lines[:7]))
+    summary, report = monitor_once(killed)
+    assert summary["finished"] is False
+    assert summary["replicas_done"] == 2
+    assert summary["chunks_in_flight"] == [1, 2]
+    assert "progress: 2/6 replicas (33%), IN FLIGHT" in report
+
+
+def test_journal_golden_loads_every_replica():
+    from repro.runtime.checkpoint import load_ledger
+
+    state = load_ledger(GOLDEN_JOURNAL)
+    assert sorted(state.results_by_index) == list(range(6))
+    assert [state.results_by_index[i].value for i in range(6)] == [
+        0, 2, 4, 6, 8, 10,
+    ]
+    assert state.sessions == 2
+    assert state.skipped_lines == 0
+
+
 def test_monitor_serve_announces_port_and_serves_once(tmp_path, capsys):
     """``repro monitor --serve 0`` binds an ephemeral port, announces
     it, answers one scrape and exits 0."""
@@ -135,7 +178,7 @@ def test_monitor_serve_announces_port_and_serves_once(tmp_path, capsys):
         body = resp.read().decode("utf-8")
     thread.join(timeout=10)
     assert rc == [0]
-    # No .prom sidecar next to the copy: degraded render from the log.
+    # A finished pre-journal live log: gauges from its run_finished.
     assert "repro_run_replicas 8" in body
     assert body.endswith("# EOF\n")
 

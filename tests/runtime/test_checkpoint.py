@@ -1,5 +1,5 @@
-"""Checkpoint ledger: durability, tamper tolerance and the resume
-determinism contract.
+"""Run journal as checkpoint: durability, tamper tolerance and the
+resume determinism contract.
 
 The acceptance case of the crash-proofing issue lives here: a campaign
 that is interrupted and resumed from its ledger produces **bit-identical**
@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignReplicaSpec
 from repro.obs import trace_digest
 from repro.runtime.checkpoint import (
-    CheckpointLedger,
+    RunJournal,
     load_ledger,
     read_header,
     spec_digest,
@@ -49,7 +49,8 @@ def _ledger_lines(path) -> list[dict]:
 
 
 def _truncate_to_first_chunk(src, dst) -> int:
-    """Copy header + first chunk line only; return replicas kept."""
+    """Copy header + first result-carrying chunk line only; return
+    replicas kept."""
     kept = []
     replicas_kept = 0
     for record, line in zip(
@@ -57,7 +58,7 @@ def _truncate_to_first_chunk(src, dst) -> int:
     ):
         if record["kind"] == "header":
             kept.append(line)
-        elif record["kind"] == "chunk":
+        elif "payload" in record:
             kept.append(line)
             replicas_kept = len(record["indices"])
             break
@@ -104,7 +105,7 @@ def test_ledger_roundtrip(tmp_path):
     assert meta["spec_digest"] == spec_digest(7, [None] * 5)
     records = _ledger_lines(path)
     assert records[0]["kind"] == "header"
-    assert records[-1]["kind"] == "close"
+    assert records[-1]["kind"] == "run_finished"
     assert records[-1]["complete"] is True
     assert records[-1]["completed"] == 5
 
@@ -121,9 +122,13 @@ def test_resume_of_complete_ledger_executes_nothing(tmp_path):
     assert m.replicas_resumed == 5
     assert m.events_simulated == 0  # nothing executed this session
     assert m.worker_busy_s == {}
-    kinds = [r["kind"] for r in _ledger_lines(path)]
-    assert kinds.count("resume") == 1
-    assert kinds.count("close") == 2
+    records = _ledger_lines(path)
+    kinds = [r["kind"] for r in records]
+    assert kinds.count("header") == 1
+    assert kinds.count("run_started") == 2
+    assert kinds.count("run_finished") == 2
+    resumed = [r for r in records if r["kind"] == "run_started"][-1]
+    assert (resumed["session"], resumed["loaded"]) == (2, 5)
 
 
 def test_interrupted_then_resumed_equivalence_toy(tmp_path):
@@ -188,7 +193,7 @@ def test_stream_fingerprint_guard_forces_reexecution(tmp_path):
     tampered = False
     for line in lines:
         record = json.loads(line)
-        if record.get("kind") == "chunk" and not tampered:
+        if "payload" in record and not tampered:
             index = record["indices"][0]
             record["streams"][str(index)] = "f" * 32
             line = json.dumps(record, sort_keys=True)
@@ -257,7 +262,7 @@ def test_header_validation(tmp_path):
 
 def test_ledger_open_records_command_provenance(tmp_path):
     path = tmp_path / "ledger.jsonl"
-    ledger, preloaded = CheckpointLedger.open(
+    journal, preloaded = RunJournal.open(
         path,
         root_seed=3,
         specs=[None] * 2,
@@ -267,7 +272,7 @@ def test_ledger_open_records_command_provenance(tmp_path):
         command="mc",
         params={"seed": 3, "replicas": 2},
     )
-    ledger.close(completed=0, failed=0)
+    journal.close()
     assert preloaded == {}
     meta = read_header(path)
     assert meta["command"] == "mc"
@@ -436,3 +441,104 @@ def test_mid_batch_resume_skips_completed_replicas(tmp_path):
         result.events for result in reference.results if result.index >= 4
     )
     assert resumed.metrics.events_simulated == fresh_events
+
+
+# -- the run journal: one decode per chunk, version-1 ledgers ---------------
+
+
+def test_resume_decodes_each_chunk_once(tmp_path, capsys, monkeypatch):
+    """``repro resume`` reads the header from the first line alone, so
+    every chunk payload is decoded exactly once, by the resume itself."""
+    from repro.__main__ import main
+    from repro.runtime import checkpoint
+
+    path = tmp_path / "run.jsonl"
+    mc = ["mc", "--replicas", "4", "--horizon-ms", "200"]
+    assert main(["--seed", "2", "--checkpoint", str(path), *mc]) == 0
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    chunks = [i for i, line in enumerate(lines) if '"payload"' in line]
+    path.write_text("".join(lines[: chunks[1] + 1]), encoding="utf-8")
+    capsys.readouterr()
+
+    decoded: list[str] = []
+    real_decode = checkpoint._decode_results
+
+    def counting_decode(payload, checksum):
+        decoded.append(checksum)
+        return real_decode(payload, checksum)
+
+    monkeypatch.setattr(checkpoint, "_decode_results", counting_decode)
+    assert main(["resume", str(path)]) == 0
+    assert "resumed: 2 replica(s) loaded" in capsys.readouterr().out
+    assert len(decoded) == 2
+    assert len(set(decoded)) == 2
+
+
+def test_version1_ledger_still_resumes_bit_identically(tmp_path, capsys):
+    """A ledger in the layout that predates the run journal (``header``
+    version 1, ``chunk``, ``close``) resumes onto the uninterrupted
+    aggregate; the resume appends journal records to it."""
+    from repro.__main__ import main
+    from repro.runtime.checkpoint import _encode_results
+
+    spec = CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(300))
+    reference = run_random_campaigns(
+        6, root_seed=11, spec=spec, workers=1, chunk_size=2
+    )
+    kept = reference.results[:2]
+    payload, checksum = _encode_results(kept)
+    records = [
+        {
+            "kind": "header",
+            "version": 1,
+            "root_seed": 11,
+            "replicas": 6,
+            "chunk_size": 2,
+            "workers": 1,
+            "spec_digest": spec_digest(11, [spec] * 6),
+            "wall": 1000.0,
+        },
+        {
+            "kind": "chunk",
+            "chunk": 0,
+            "indices": [r.index for r in kept],
+            "streams": {
+                str(r.index): stream_fingerprint(11, r.index) for r in kept
+            },
+            "payload": payload,
+            "sha256": checksum,
+            "wall": 1001.0,
+        },
+        {"kind": "close", "completed": 2, "failed": 0, "complete": False,
+         "wall": 1002.0},
+    ]
+    path = tmp_path / "v1.jsonl"
+    path.write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+        encoding="utf-8",
+    )
+    assert load_ledger(path).sessions == 1
+    resumed = run_random_campaigns(
+        6,
+        root_seed=11,
+        spec=spec,
+        workers=1,
+        chunk_size=2,
+        checkpoint=str(path),
+        resume=True,
+    )
+    assert resumed.value == reference.value
+    assert resumed.values() == reference.values()
+    assert resumed.metrics.replicas_resumed == 2
+
+    kinds = [r["kind"] for r in _ledger_lines(path)]
+    assert kinds[:3] == ["header", "chunk", "close"]
+    assert kinds[3] == "run_started"
+    assert kinds[-1] == "run_finished"
+    state = load_ledger(path)
+    assert sorted(state.results_by_index) == list(range(6))
+    assert state.sessions == 2
+    assert main(["monitor", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "(schema v1)" in out
+    assert "progress: 6/6 replicas (100%), finished" in out

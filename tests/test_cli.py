@@ -111,9 +111,9 @@ def test_mc_checkpoint_resume_roundtrip(capsys, tmp_path):
     for line in lines:
         record = json.loads(line)
         kept.append(line)
-        if record["kind"] == "chunk":
-            break  # header + first completed chunk only
-    assert len(kept) == 2, "expected a chunk line to truncate after"
+        if "payload" in record:
+            break  # up to the first chunk that carries results
+    assert kept[-1] != lines[-1], "expected a chunk line to truncate after"
     ledger.write_text("\n".join(kept) + "\n", encoding="utf-8")
 
     assert main(["resume", str(ledger)]) == 0
@@ -185,3 +185,92 @@ def test_resume_ledger_mismatch_exits_cleanly(capsys, tmp_path):
     assert err.count("\n") == 1
     assert "does not match" in err and "spec_digest" in err
     assert ledger.read_bytes() == before
+
+
+# -- one run journal ----------------------------------------------------------
+
+_MC = ["mc", "--replicas", "4", "--horizon-ms", "300"]
+
+
+def _cut_after_first_result(path) -> None:
+    """Simulate a SIGKILL right after the first durable chunk."""
+    import json
+
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for n, line in enumerate(lines, start=1):
+        if "payload" in json.loads(line):
+            break
+    assert n < len(lines), "expected a chunk line to cut after"
+    path.write_text("".join(lines[:n]), encoding="utf-8")
+
+
+def test_checkpoint_and_live_log_name_one_journal(capsys, tmp_path):
+    """The benchmark's ``offline`` command line: both flags, different
+    paths, one file that whatif and monitor both read."""
+    import os
+
+    ledger = tmp_path / "ledger.jsonl"
+    live = tmp_path / "live.jsonl"
+    args = [
+        "--seed", "1", "--workers", "2",
+        "--checkpoint", str(ledger), "--live-log", str(live),
+        "--store", str(tmp_path / "store"), "--store-format", "json",
+    ]
+    assert main([*args, *_MC]) == 0
+    capsys.readouterr()
+    assert os.path.samefile(ledger, live)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ledger.jsonl", "live.jsonl", "store",
+    ]
+    assert main(["whatif", str(ledger), "--without-ona", "wearout"]) == 0
+    capsys.readouterr()
+    assert main(["monitor", str(live)]) == 0
+    out = capsys.readouterr().out
+    assert "(schema v2)" in out
+    assert "progress: 4/4 replicas (100%), finished" in out
+
+
+def test_live_log_only_run_resumes_and_replays(capsys, tmp_path):
+    live = tmp_path / "live.jsonl"
+    assert main(["--seed", "3", *_MC]) == 0
+    reference = _plan_digest_line(capsys.readouterr().out)
+    assert main(["--seed", "3", "--live-log", str(live), *_MC]) == 0
+    capsys.readouterr()
+    _cut_after_first_result(live)
+    assert main(["resume", str(live)]) == 0
+    out = capsys.readouterr().out
+    assert "resumed: 1 replica(s) loaded" in out
+    assert _plan_digest_line(out) == reference
+    assert main(["whatif", str(live), "--without-ona", "wearout"]) == 0
+
+
+def test_killed_journal_monitors_in_flight_then_finished(capsys, tmp_path):
+    """A journal cut after its first ``chunk_done`` is IN FLIGHT; the
+    resume appends a session and the monitor never counts past N."""
+    journal = tmp_path / "run.jsonl"
+    assert main(["--seed", "4", "--checkpoint", str(journal), *_MC]) == 0
+    _cut_after_first_result(journal)
+    capsys.readouterr()
+    assert main(["monitor", str(journal)]) == 0
+    assert "progress: 1/4 replicas (25%), IN FLIGHT" in capsys.readouterr().out
+    assert main(["resume", str(journal)]) == 0
+    capsys.readouterr()
+    assert main(["monitor", str(journal)]) == 0
+    out = capsys.readouterr().out
+    assert "progress: 4/4 replicas (100%), finished" in out
+    assert "resumed from checkpoint: 1 replica(s)" in out
+
+
+def test_unlinkable_live_log_exits_2_before_simulating(capsys, tmp_path):
+    """The second name of the journal must be a hard link; when it
+    cannot be made the run stops before any replica runs."""
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    ledger = tmp_path / "ledger.jsonl"
+    args = ["--checkpoint", str(ledger), "--live-log", str(taken), *_MC]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "second name of the run journal" in captured.err
+    assert "plan digest" not in captured.out
+    assert taken.is_dir()
