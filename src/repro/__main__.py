@@ -27,7 +27,9 @@ Commands
     ``--live-log PATH``).  The journal header records the original
     invocation; already-completed replicas are loaded, the rest are
     executed and appended to the same journal, and the final aggregate
-    is bit-identical to an uninterrupted run.
+    is bit-identical to an uninterrupted run.  A run recorded with
+    ``--live-log`` keeps its telemetry in that journal; no other path is
+    touched unless ``--live-log`` is given again.
 
 ``query [WHAT] --store DIR``
     Offline analytics over a columnar campaign store written with
@@ -839,6 +841,11 @@ def cmd_resume(args: argparse.Namespace) -> int:
     }
     params = meta.get("params") or {}
     ns.update({k: v for k, v in params.items() if k in ns})
+    if ns["live_log"] is not None:
+        # The recorded name is relative to the original run and may name
+        # another file now: keep telemetry on in the journal being
+        # resumed instead of relinking that name.
+        ns["live_log"] = args.path
     for key, default in _RESUME_OVERRIDABLE.items():
         value = getattr(args, key, default)
         if value != default:

@@ -156,7 +156,6 @@ def simulate_diagnosed_fleet(
     hot_share: float = 0.8,
     *,
     workers: int = 1,
-    chunk_size: int | None = None,
     on_exhausted: str = "serial",
     checkpoint: str | None = None,
     resume: bool = False,
@@ -193,7 +192,6 @@ def simulate_diagnosed_fleet(
         simulate_vehicle,
         lambda values: reduce_fleet(values, spec),
         workers=workers,
-        chunk_size=chunk_size,
         on_exhausted=on_exhausted,
     )
     outcome = runner.run(

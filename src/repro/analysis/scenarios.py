@@ -400,7 +400,6 @@ def run_campaign(
     seeds: tuple[int, ...] = (7,),
     *,
     workers: int = 1,
-    chunk_size: int | None = None,
     on_exhausted: str = "serial",
     checkpoint: str | None = None,
     resume: bool = False,
@@ -450,7 +449,6 @@ def run_campaign(
             run_catalogue_cell,
             reduce_catalogue_cells,
             workers=max(1, workers),
-            chunk_size=chunk_size,
             on_exhausted=on_exhausted,
         )
         outcome = runner.run(

@@ -15,7 +15,7 @@ DECOS reproduction exposes:
   (rendered by ``repro explain``).
 
 Two sibling modules cover the *while-it-runs* and *exposition* halves:
-:mod:`repro.obs.live` (the runner's in-flight progress event bus, worker
+:mod:`repro.obs.live` (the runner's in-flight progress telemetry, worker
 heartbeats and stall detection, read by ``repro monitor``) and
 :mod:`repro.obs.openmetrics` (OpenMetrics text rendering of counter
 snapshots and run metrics).  Both are lazy — importing ``repro.obs``
@@ -67,7 +67,6 @@ from repro.obs.tracer import (
 
 __all__ = [
     "JOURNAL_VERSION",
-    "LiveEventBus",
     "SUPPORTED_SCHEMA_VERSIONS",
     "TRACE_SCHEMA_VERSION",
     "CounterRegistry",
@@ -162,7 +161,6 @@ class Observability:
 #: byte-cheap for the instrumentation hot path.
 _LAZY_EXPORTS = {
     "JOURNAL_VERSION": ("repro.obs.live", "JOURNAL_VERSION"),
-    "LiveEventBus": ("repro.obs.live", "LiveEventBus"),
     "render_openmetrics": ("repro.obs.openmetrics", "render_openmetrics"),
 }
 

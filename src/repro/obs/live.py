@@ -6,23 +6,21 @@ module is the *while-it-runs* half: the
 :class:`~repro.runtime.runner.ParallelCampaignRunner` emits structured
 lifecycle events (``chunk_submitted``, ``chunk_done``, ``replica_failed``,
 ``retry``, ``worker_heartbeat``, ``stall_suspected``,
-``straggler_suspected``) to a pluggable :class:`LiveEventBus`.  With
-``--live-log``/``--checkpoint`` the bus writes into the run's one JSONL
-journal (:class:`repro.runtime.checkpoint.RunJournal`), the same file
-that carries the checkpointed replica results, so a SIGKILL loses at
-most the tail and ``repro monitor`` still renders a partial-progress
-report.
+``straggler_suspected``) into the run's one JSONL journal
+(:class:`repro.runtime.checkpoint.RunJournal`), the same file that
+carries the checkpointed replica results, so a SIGKILL loses at most the
+tail and ``repro monitor`` still renders a partial-progress report.
 
 Determinism contract
 --------------------
 Live records carry *wall-clock* timestamps and worker pids, so they are
-excluded from every canonical digest: the bus never writes into the obs
-trace, the counter registry or any per-replica value, and enabling it
-must not perturb the simulation (asserted by replaying a goldens subset
-with the bus on, ``tests/obs/test_live.py``).  The bus is
-zero-cost-when-off: a runner without a bus takes the exact pre-bus code
-path (no heartbeat dir, no poll timeout on the pool wait), held to the
-same <5% disabled-path contract as the tracer in
+excluded from every canonical digest: telemetry never writes into the
+obs trace, the counter registry or any per-replica value, and enabling
+it must not perturb the simulation (asserted by replaying a goldens
+subset with telemetry on, ``tests/obs/test_live.py``).  Telemetry is
+zero-cost-when-off: a runner without a live log takes the exact
+pre-telemetry code path (no heartbeat dir, no poll timeout on the pool
+wait), held to the same <5% disabled-path contract as the tracer in
 ``benchmarks/bench_obs_overhead.py``.
 
 Heartbeats and stall detection
@@ -31,11 +29,12 @@ Workers stamp a heartbeat file (pid, replicas done, events simulated,
 rss) into a shared temp directory after every replica; the parent folds
 these into rolling throughput/ETA estimates on each poll tick and flags
 
-* **stragglers** — chunks in flight longer than ``straggler_factor``
+* **stragglers** — chunks in flight longer than :data:`STRAGGLER_FACTOR`
   times the median completed-chunk latency (flagged, not retried: the
   chunk is making progress, it is just slow);
 * **stalls** — chunks whose worker has not stamped a heartbeat within
-  ``stall_timeout_s``.  A stalled chunk is handed back to the runner's
+  :data:`STALL_TIMEOUT_S`.  Only pooled runs stamp heartbeats, so only
+  they detect stalls.  A stalled chunk is handed back to the runner's
   retry machinery as a structured resubmission *without waiting for pool
   teardown*; the duplicate execution is safe because results dedupe by
   replica index and replica outcomes are pure functions of
@@ -77,6 +76,15 @@ JOURNAL_KINDS = (
     "run_finished",
 )
 
+#: A pooled chunk whose worker has not stamped a heartbeat for this long
+#: is suspected stalled and resubmitted as a duplicate chunk.
+STALL_TIMEOUT_S = 30.0
+
+#: A chunk in flight longer than this multiple of the median
+#: completed-chunk latency is flagged ``straggler_suspected`` (once,
+#: never resubmitted: it is making progress).
+STRAGGLER_FACTOR = 4.0
+
 
 def _rss_kb() -> int:
     """Resident set size of this process in kB (0 where unsupported)."""
@@ -86,54 +94,6 @@ def _rss_kb() -> int:
         return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     except Exception:  # pragma: no cover - non-POSIX fallback
         return 0
-
-
-# -- sinks --------------------------------------------------------------------
-
-
-class MemoryLiveSink:
-    """In-memory sink for tests and embedding (e.g. a WebSocket fan-out)."""
-
-    def __init__(self) -> None:
-        self.records: list[dict[str, Any]] = []
-
-    def write(self, record: dict[str, Any]) -> None:
-        self.records.append(record)
-
-    def close(self) -> None:
-        return None
-
-
-class LiveEventBus:
-    """Fans structured lifecycle events out to pluggable sinks.
-
-    A sink is anything with ``write(record)`` and ``close()``: the run
-    journal, a :class:`MemoryLiveSink`, or another bus.  ``clock`` is
-    injectable for byte-stable tests.
-    """
-
-    def __init__(
-        self,
-        sinks: tuple | list = (),
-        *,
-        clock=time.time,
-    ) -> None:
-        self.sinks = list(sinks)
-        self._clock = clock
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        if not self.sinks:
-            return
-        self.write({"kind": kind, "t_wall": round(self._clock(), 6), **fields})
-
-    def write(self, record: dict[str, Any]) -> None:
-        """Pass an already stamped record on to every sink."""
-        for sink in self.sinks:
-            sink.write(record)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 # -- worker-side heartbeats ---------------------------------------------------
@@ -189,24 +149,22 @@ class LiveRunMonitor:
     and recorded, and :meth:`poll` after every in-process chunk and on
     every pool-wait timeout tick; ``poll`` returns the chunk ids it
     considers stalled so the runner can resubmit pooled chunks without
-    waiting for pool teardown.
+    waiting for pool teardown.  Every record goes to ``journal`` (a
+    :class:`~repro.runtime.checkpoint.RunJournal`); stall detection runs
+    only with a ``heartbeat_dir`` to watch.
     """
 
     def __init__(
         self,
-        bus: LiveEventBus,
+        journal,
         heartbeat_dir: str | None,
         *,
         replicas_total: int,
-        stall_timeout_s: float | None = None,
-        straggler_factor: float = 4.0,
         clock=time.monotonic,
     ) -> None:
-        self.bus = bus
+        self.journal = journal
         self.heartbeat_dir = heartbeat_dir
         self.replicas_total = replicas_total
-        self.stall_timeout_s = stall_timeout_s
-        self.straggler_factor = straggler_factor
         self._clock = clock
         #: cid -> (submit monotonic time, replica count)
         self._in_flight: dict[int, tuple[float, int]] = {}
@@ -231,7 +189,7 @@ class LiveRunMonitor:
         now = self._clock()
         self._in_flight[cid] = (now, len(indices))
         self._last_activity[cid] = now
-        self.bus.emit(
+        self.journal.emit(
             "chunk_submitted", chunk=cid, indices=indices, attempt=attempt
         )
 
@@ -248,7 +206,7 @@ class LiveRunMonitor:
             elapsed = self._clock() - submitted[0]
             self._chunk_latencies.append(elapsed)
         self.replicas_done += replicas
-        self.bus.emit(
+        self.journal.emit(
             "chunk_done",
             chunk=cid,
             worker=worker,
@@ -259,7 +217,7 @@ class LiveRunMonitor:
         )
 
     def replica_failed(self, index: int, error_type: str, attempts: int) -> None:
-        self.bus.emit(
+        self.journal.emit(
             "replica_failed",
             index=index,
             error_type=error_type,
@@ -267,7 +225,7 @@ class LiveRunMonitor:
         )
 
     def retry(self, chunks: int, attempt: int) -> None:
-        self.bus.emit("retry", chunks=chunks, attempt=attempt)
+        self.journal.emit("retry", chunks=chunks, attempt=attempt)
 
     # -- poll tick ---------------------------------------------------------
 
@@ -297,7 +255,7 @@ class LiveRunMonitor:
                 continue  # no progress since the last tick
             self._last_emitted[cid] = stamp
             self._last_activity[cid] = now
-            self.bus.emit(
+            self.journal.emit(
                 "worker_heartbeat",
                 chunk=cid,
                 worker=str(record.get("worker", "?")),
@@ -318,9 +276,9 @@ class LiveRunMonitor:
             if cid in self._flagged_stragglers:
                 continue
             elapsed = now - submitted
-            if elapsed > self.straggler_factor * median:
+            if elapsed > STRAGGLER_FACTOR * median:
                 self._flagged_stragglers.add(cid)
-                self.bus.emit(
+                self.journal.emit(
                     "straggler_suspected",
                     chunk=cid,
                     elapsed_s=round(elapsed, 6),
@@ -329,21 +287,21 @@ class LiveRunMonitor:
                 )
 
     def _detect_stalls(self, now: float) -> list[int]:
-        if self.stall_timeout_s is None:
+        if self.heartbeat_dir is None:
             return []
         stalled: list[int] = []
         for cid in self._in_flight:
             if cid in self._flagged_stalls:
                 continue
             silent = now - self._last_activity.get(cid, now)
-            if silent > self.stall_timeout_s:
+            if silent > STALL_TIMEOUT_S:
                 self._flagged_stalls.add(cid)
                 stalled.append(cid)
-                self.bus.emit(
+                self.journal.emit(
                     "stall_suspected",
                     chunk=cid,
                     silent_s=round(silent, 6),
-                    timeout_s=self.stall_timeout_s,
+                    timeout_s=STALL_TIMEOUT_S,
                     action="resubmitted",
                 )
         return stalled
@@ -353,7 +311,7 @@ class LiveRunMonitor:
         throughput = self.replicas_done / elapsed if elapsed > 0 else 0.0
         remaining = max(0, self.replicas_total - self.replicas_done)
         eta = remaining / throughput if throughput > 0 else None
-        self.bus.emit(
+        self.journal.emit(
             "progress",
             replicas_done=self.replicas_done,
             replicas_total=self.replicas_total,

@@ -201,8 +201,9 @@ def load_ledger(path: str | Path) -> LedgerState:
 class RunJournal:
     """Writer half of the journal; one instance per runner session.
 
-    :meth:`write` is the one append path, and the journal is a sink of
-    the runner's :class:`~repro.obs.live.LiveEventBus`.
+    :meth:`write` is the one append path; :meth:`emit` stamps a
+    telemetry record with ``clock`` (wall time, replaceable by tests)
+    and writes it.
     """
 
     def __init__(
@@ -215,6 +216,7 @@ class RunJournal:
         self._fh = fh
         self._since_fsync = 0
         self._last_fsync = time.monotonic()
+        self.clock = time.time
 
     @classmethod
     def open(
@@ -325,6 +327,10 @@ class RunJournal:
             "payload": payload,
             "sha256": checksum,
         }
+
+    def emit(self, kind: str, **fields: Any) -> None:
+        """Append one record of ``kind`` stamped with ``t_wall``."""
+        self.write({"kind": kind, "t_wall": round(self.clock(), 6), **fields})
 
     def write(self, record: dict[str, Any]) -> None:
         """Append one record; results and the run's end are durable

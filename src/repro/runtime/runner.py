@@ -43,11 +43,12 @@ Three failure modes are handled, identically for every worker count:
   interleaved with successful siblings in the same wait batch can never
   duplicate or lose a replica — then rebuilds the pool and resubmits
   only the chunks that never reported, with exponential backoff between
-  attempts.
+  attempts (:data:`RETRY_BACKOFF_S`).
 * **Replica exception**: a task that raises is captured as a structured
   :class:`ReplicaFailure` and the replica is retried (same bounded
   backoff schedule), so one transient error never aborts the campaign.
-* **Retry exhaustion**: governed by ``on_exhausted`` — ``"serial"``
+* **Retry exhaustion**: after ``1 + MAX_RETRIES`` attempts, governed by
+  ``on_exhausted`` — ``"serial"``
   (default) runs the survivors once more in the parent without
   capturing exceptions, so a run either completes or surfaces the real
   error; ``"salvage"`` gives up on the failed replicas and returns a
@@ -94,6 +95,23 @@ FALLBACK_WORKER = "serial-fallback"
 
 #: Retry-exhaustion policies (see class docstring).
 EXHAUSTION_POLICIES = ("serial", "salvage")
+
+# Runner tuning, read only in the parent process.
+#: Attempts allowed after the first one (pool rebuilds after crashes,
+#: re-runs of raising replicas) before the ``on_exhausted`` policy applies.
+MAX_RETRIES = 2
+#: Base of the exponential backoff slept before resubmission attempt
+#: ``k`` (``RETRY_BACKOFF_S * 2**(k-1)``).
+RETRY_BACKOFF_S = 0.05
+#: Bounded wait for pool workers to exit when a pool is torn down;
+#: workers still alive afterwards are reported as ``leaked_worker_pids``
+#: in :class:`RunMetrics` instead of being silently left behind.
+SHUTDOWN_TIMEOUT_S = 5.0
+#: How often a live-telemetry pool wait wakes to fold heartbeats, emit
+#: progress and check stall/straggler deadlines.  Without telemetry the
+#: wait has no timeout at all.
+STALL_POLL_S = 1.0
+
 
 @dataclass(frozen=True, slots=True)
 class ReplicaTask:
@@ -265,13 +283,12 @@ class _Attempts:
     ``pending`` maps chunk id to the replicas of that chunk not yet
     recorded; ``failed`` holds the replicas that raised in the attempt
     in progress (``attempt``, 1-based); ``leaked`` collects the pids of
-    pool workers that outlived their pool's bounded shutdown.  ``bus``
-    reaches the run journal and any explicit live bus; ``monitor`` is
-    set when live telemetry is on.
+    pool workers that outlived their pool's bounded shutdown.
+    ``journal`` is the run journal, if any; ``monitor`` is set when live
+    telemetry is on.
     """
 
     journal: Any
-    bus: Any
     monitor: Any
     results: dict[int, ReplicaResult]
     failures: dict[int, ReplicaFailure] = field(default_factory=dict)
@@ -308,19 +325,19 @@ class _Attempts:
                 self.results[r.index] = r
                 self.failures.pop(r.index, None)
                 fresh.append(r)
-        if self.bus is None:
+        if self.journal is None:
             return
         fields = {
             "worker": out[0].worker,
             "replicas": len(fresh),
             "events": sum(r.events for r in fresh),
         }
-        if self.journal is not None and fresh:
+        if fresh:
             fields.update(self.journal.chunk_fields(fresh))
         if self.monitor is not None:
             self.monitor.chunk_done(cid, **fields)
         else:
-            self.bus.emit("chunk_done", chunk=cid, **fields)
+            self.journal.emit("chunk_done", chunk=cid, **fields)
 
 
 class ParallelCampaignRunner:
@@ -346,41 +363,16 @@ class ParallelCampaignRunner:
         Replicas per submitted chunk.  Defaults to a size that yields
         roughly four chunks per worker (amortises submission overhead
         while keeping crash blast radius and tail latency small).
-    max_retries:
-        Attempts allowed after the first one (pool rebuilds after
-        crashes, re-runs of raising replicas) before the
-        ``on_exhausted`` policy applies.
-    retry_backoff_s:
-        Base of the exponential backoff slept before resubmission
-        attempt ``k`` (``retry_backoff_s * 2**(k-1)``).  ``0`` disables
-        the sleep (tests).
-    shutdown_timeout_s:
-        Bounded wait for pool workers to exit when a pool is torn down;
-        workers still alive afterwards are reported as
-        ``leaked_worker_pids`` in :class:`RunMetrics` instead of being
-        silently left behind while the next pool starts.
     on_exhausted:
         ``"serial"`` (default) runs unrecovered chunks once more in the
         parent process, letting a task exception propagate; ``"salvage"``
         returns a partial :class:`RunOutcome`
         carrying :class:`ReplicaFailure` records and a completeness
         report.
-    stall_timeout_s:
-        Live-telemetry runs only: a pooled chunk whose worker has not
-        stamped a heartbeat for this long is suspected stalled and
-        resubmitted as a duplicate chunk *without waiting for pool
-        teardown* — safe because results dedupe by replica index and
-        replica values are pure functions of ``(root_seed, index)``.
-        ``None`` disables stall detection even with a bus attached.
-    stall_poll_s:
-        How often the parent wakes from the pool wait to fold
-        heartbeats, emit progress and check stall/straggler deadlines.
-        Irrelevant without a live bus (the wait then has no timeout at
-        all — the pre-telemetry code path, byte for byte).
-    straggler_factor:
-        A chunk in flight longer than this multiple of the median
-        completed-chunk latency is flagged ``straggler_suspected``
-        (flagged once, never resubmitted: it is making progress).
+
+    The retry, backoff, shutdown and poll timings are the module
+    constants above; stall and straggler thresholds live next to the
+    monitor that applies them (:mod:`repro.obs.live`).
     """
 
     def __init__(
@@ -390,13 +382,7 @@ class ParallelCampaignRunner:
         *,
         workers: int = 1,
         chunk_size: int | None = None,
-        max_retries: int = 2,
-        retry_backoff_s: float = 0.05,
-        shutdown_timeout_s: float = 5.0,
         on_exhausted: str = "serial",
-        stall_timeout_s: float | None = 30.0,
-        stall_poll_s: float = 1.0,
-        straggler_factor: float = 4.0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -404,44 +390,16 @@ class ParallelCampaignRunner:
             raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
-            )
-        if shutdown_timeout_s < 0:
-            raise ValueError(
-                f"shutdown_timeout_s must be >= 0, got {shutdown_timeout_s}"
-            )
         if on_exhausted not in EXHAUSTION_POLICIES:
             raise ValueError(
                 f"on_exhausted must be one of {EXHAUSTION_POLICIES}, "
                 f"got {on_exhausted!r}"
             )
-        if stall_timeout_s is not None and stall_timeout_s <= 0:
-            raise ValueError(
-                f"stall_timeout_s must be > 0 or None, got {stall_timeout_s}"
-            )
-        if stall_poll_s <= 0:
-            raise ValueError(
-                f"stall_poll_s must be > 0, got {stall_poll_s}"
-            )
-        if straggler_factor <= 1:
-            raise ValueError(
-                f"straggler_factor must be > 1, got {straggler_factor}"
-            )
         self.task = task
         self.reduce = reduce
         self.workers = workers
         self.chunk_size = chunk_size
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.shutdown_timeout_s = shutdown_timeout_s
         self.on_exhausted = on_exhausted
-        self.stall_timeout_s = stall_timeout_s
-        self.stall_poll_s = stall_poll_s
-        self.straggler_factor = straggler_factor
 
     # -- public API -------------------------------------------------------
 
@@ -457,7 +415,6 @@ class ParallelCampaignRunner:
         store_meta: dict[str, Any] | None = None,
         preloaded: dict[int, ReplicaResult] | None = None,
         live_log: str | Path | None = None,
-        live: Any = None,
     ) -> RunOutcome:
         """Execute one replica per spec; reduce deterministically.
 
@@ -497,16 +454,15 @@ class ParallelCampaignRunner:
         ``replicas_resumed`` — which is precisely how the
         replay-equivalence battery proves only affected replicas re-ran.
 
-        With ``live_log`` (or an explicit ``live`` bus, a
-        :class:`repro.obs.live.LiveEventBus`) the run additionally
-        streams lifecycle telemetry — chunk submissions/completions,
-        worker heartbeats, retries, stall and straggler flags — to the
-        journal and to ``live``.  Live records carry wall-clock fields
-        and are excluded from every canonical digest; the simulation
-        itself is untouched (the telemetry-on aggregate is bit-identical
-        to telemetry-off, which ``tests/obs/test_live.py`` asserts).
-        Without either argument the runner takes the exact
-        pre-telemetry code path: no heartbeats, no stall detection.
+        With ``live_log`` the run additionally writes lifecycle
+        telemetry — chunk submissions, worker heartbeats, retries, stall
+        and straggler flags — to the journal.  Live records carry
+        wall-clock fields and are excluded from every canonical digest;
+        the simulation itself is untouched (the telemetry-on aggregate
+        is bit-identical to telemetry-off, which
+        ``tests/obs/test_live.py`` asserts).  Without ``live_log`` the
+        runner takes the exact pre-telemetry code path: no heartbeats,
+        no stall detection.
         """
         tasks = [
             ReplicaTask(index=i, root_seed=int(root_seed), spec=spec)
@@ -569,20 +525,8 @@ class ParallelCampaignRunner:
             )
             # Journal-resumed results fill the gaps; explicit splices win.
             preloaded = {**resumed, **preloaded}
-
-        sinks = [sink for sink in (journal, live) if sink is not None]
-        bus = None
-        monitor = None
-        heartbeat_dir = None
-        pooled = not (self.workers == 1 or len(tasks) <= 1)
-        if sinks:
-            # Lazy import: runs without a journal or telemetry never pay
-            # for it.
-            from repro.obs.live import LiveEventBus, LiveRunMonitor
-
-            bus = LiveEventBus(sinks)
-            meta = {**(store_meta or {}), **(checkpoint_meta or {})}
-            bus.emit(
+            meta = {**(store_meta or {}), **meta}
+            journal.emit(
                 "run_started",
                 replicas=len(tasks),
                 replicas_resumed=len(preloaded),
@@ -590,21 +534,24 @@ class ParallelCampaignRunner:
                 chunk_size=chunk_size,
                 command=meta.get("command"),
                 root_seed=int(root_seed),
-                **(journal.session if journal is not None else {}),
+                **journal.session,
             )
-        if live is not None or live_log is not None:
+
+        monitor = None
+        heartbeat_dir = None
+        pooled = not (self.workers == 1 or len(tasks) <= 1)
+        if live_log is not None:
+            # Lazy import: runs without telemetry never pay for it.
+            from repro.obs.live import LiveRunMonitor
+
             if pooled:
                 heartbeat_dir = tempfile.mkdtemp(prefix="repro-live-hb-")
             monitor = LiveRunMonitor(
-                bus,
-                heartbeat_dir,
-                replicas_total=len(tasks),
-                stall_timeout_s=self.stall_timeout_s if pooled else None,
-                straggler_factor=self.straggler_factor,
+                journal, heartbeat_dir, replicas_total=len(tasks)
             )
 
         t0 = time.perf_counter()
-        state = _Attempts(journal, bus, monitor, results=dict(preloaded))
+        state = _Attempts(journal, monitor, results=dict(preloaded))
         try:
             results = self._run_attempts(state, tasks, chunk_size, pooled)
             wall = time.perf_counter() - t0
@@ -661,9 +608,9 @@ class ParallelCampaignRunner:
             metrics=metrics,
             failures=tuple(failures[i] for i in sorted(failures)),
         )
-        if bus is not None:
+        if journal is not None:
             counters = getattr(value, "obs_counters", None)
-            bus.emit(
+            journal.emit(
                 "run_finished",
                 metrics=metrics.to_dict(),
                 failures=len(outcome.failures),
@@ -673,7 +620,6 @@ class ParallelCampaignRunner:
                 complete=len(results) >= len(tasks),
                 counters=counters if isinstance(counters, dict) else None,
             )
-        if journal is not None:
             journal.close()
         if store is not None:
             # Deferred import: the storage package is sim-free and the
@@ -711,8 +657,8 @@ class ParallelCampaignRunner:
 
     def _backoff(self, attempt: int) -> None:
         """Exponential backoff before resubmission attempt ``attempt``."""
-        if self.retry_backoff_s > 0 and attempt > 0:
-            time.sleep(self.retry_backoff_s * (2 ** (attempt - 1)))
+        if RETRY_BACKOFF_S > 0 and attempt > 0:
+            time.sleep(RETRY_BACKOFF_S * (2 ** (attempt - 1)))
 
     def _run_attempts(
         self,
@@ -725,7 +671,7 @@ class ParallelCampaignRunner:
 
         Each attempt runs every pending chunk, in the parent or on a
         fresh pool; replicas that raised are queued again as new chunks.
-        After ``1 + max_retries`` attempts the ``on_exhausted`` policy
+        After ``1 + MAX_RETRIES`` attempts the ``on_exhausted`` policy
         takes whatever is still pending.  Returns the recorded results.
         """
         # Chunk ids are positions in the whole campaign, so a resumed run
@@ -737,7 +683,7 @@ class ParallelCampaignRunner:
                 state.pending[cid] = todo
         next_cid = len(chunks)
         monitor = state.monitor
-        while state.pending and state.attempt <= self.max_retries:
+        while state.pending and state.attempt <= MAX_RETRIES:
             if state.attempt > 0:
                 state.retries += len(state.pending)
                 if monitor is not None:
@@ -758,7 +704,7 @@ class ParallelCampaignRunner:
                 next_cid += 1
         if state.pending and self.on_exhausted == "serial":
             # Last resort: one more pass in the parent so the run
-            # completes.  Exceptions propagate here — after max_retries
+            # completes.  Exceptions propagate here — after MAX_RETRIES
             # identical failures there is no point converting them again.
             state.attempt += 1
             self._run_in_parent(state, FALLBACK_WORKER, capture_errors=False)
@@ -828,7 +774,7 @@ class ParallelCampaignRunner:
             # With a live monitor the pool wait wakes on a poll timeout to
             # fold heartbeats and run stall detection; without one it
             # blocks indefinitely.
-            poll = self.stall_poll_s if monitor is not None else None
+            poll = STALL_POLL_S if monitor is not None else None
             resubmitted: set[int] = set()
             while not_done:
                 done, not_done = wait(
@@ -892,7 +838,7 @@ class ParallelCampaignRunner:
         procs = list((executor._processes or {}).values())
         executor.shutdown(wait=False, cancel_futures=True)
         running = {proc.sentinel: proc for proc in procs}
-        deadline = time.monotonic() + self.shutdown_timeout_s
+        deadline = time.monotonic() + SHUTDOWN_TIMEOUT_S
         while running:
             remaining = deadline - time.monotonic()
             if remaining <= 0:

@@ -181,28 +181,21 @@ def write_run(
     root_seed: int,
     spec_digest: str,
     meta: dict[str, Any] | None = None,
-    fmt: str | None = None,
 ) -> Path:
     """Persist one reduced run as a store part; returns the part path.
 
     ``meta`` may carry ``campaign_id`` (partition label, default
-    ``"default"``), ``format`` (overrides ``fmt``), and ``command`` /
-    ``params`` labels copied into the manifest for provenance.  The part
-    is written into a temporary sibling directory and swapped in with a
-    directory rename, so readers never observe a half-written part and
-    rewriting an existing part is atomic.
+    ``"default"``), ``format`` (store format, default ``"auto"``), and
+    ``command`` / ``params`` labels copied into the manifest for
+    provenance.  The part is written into a temporary sibling directory
+    and swapped in with a directory rename, so readers never observe a
+    half-written part and rewriting an existing part is atomic.
     """
     meta = dict(meta or {})
     campaign_id = validate_campaign_id(
         str(meta.get("campaign_id") or "default")
     )
-    resolved = resolve_format(
-        str(
-            fmt
-            or meta.get("format")
-            or os.environ.get("REPRO_STORE_FORMAT", "auto")
-        )
-    )
+    resolved = resolve_format(str(meta.get("format") or "auto"))
     backend = get_backend(resolved)
 
     value = outcome.value

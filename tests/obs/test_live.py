@@ -1,4 +1,4 @@
-"""Live campaign telemetry: bus, sinks, heartbeats, monitor fold.
+"""Live campaign telemetry: journal records, heartbeats, monitor fold.
 
 Three contracts from the live-telemetry design are pinned here:
 
@@ -10,9 +10,9 @@ Three contracts from the live-telemetry design are pinned here:
 * **Stall/straggler detection** — the parent-side monitor folds worker
   heartbeats with an injectable clock, flags stragglers once against the
   median chunk latency, and reports stalled chunks for resubmission.
-* **Determinism** — enabling the bus must not perturb the simulation:
+* **Determinism** — enabling telemetry must not perturb the simulation:
   the campaign aggregate (plan digest, obs counters, every replica
-  value) is bit-identical with the bus on vs off, at workers=1 and
+  value) is bit-identical with telemetry on vs off, at workers=1 and
   workers=4.
 """
 
@@ -29,9 +29,9 @@ import pytest
 from repro.obs.live import (
     JOURNAL_KINDS,
     JOURNAL_VERSION,
-    LiveEventBus,
+    STALL_TIMEOUT_S,
+    STRAGGLER_FACTOR,
     LiveRunMonitor,
-    MemoryLiveSink,
     monitor_once,
     read_heartbeat,
     read_journal,
@@ -51,7 +51,7 @@ GOLDEN_REPORT = DATA / "golden_monitor_report.txt"
 
 
 class FakeClock:
-    """Manually advanced clock for byte-stable bus/monitor tests."""
+    """Manually advanced clock for byte-stable journal/monitor tests."""
 
     def __init__(self, start: float = 1000.0) -> None:
         self.now = start
@@ -65,7 +65,7 @@ def double_task(replica: ReplicaTask) -> int:
     return replica.index * 2
 
 
-# -- sinks and bus ------------------------------------------------------------
+# -- journal records ----------------------------------------------------------
 
 
 def _open_journal(path, replicas=3):
@@ -83,10 +83,13 @@ def _open_journal(path, replicas=3):
 
 def test_jsonl_sink_header_first_and_parseable(tmp_path):
     path = tmp_path / "live.jsonl"
-    bus = LiveEventBus([_open_journal(path)], clock=FakeClock())
-    bus.emit("run_started", replicas=3)
-    bus.emit("chunk_done", chunk=0, replicas=3)
-    bus.close()
+    clock = FakeClock(5.0)
+    journal = _open_journal(path)
+    journal.clock = clock
+    journal.emit("run_started", replicas=3)
+    clock.now = 6.5
+    journal.emit("chunk_done", chunk=0, replicas=3)
+    journal.close()
     records, skipped = read_journal(path)
     assert skipped == 0
     assert [r["kind"] for r in records] == [
@@ -96,24 +99,7 @@ def test_jsonl_sink_header_first_and_parseable(tmp_path):
     ]
     assert records[0]["version"] == JOURNAL_VERSION == 2
     assert records[1]["replicas"] == 3
-    assert all("t_wall" in r for r in records[1:])
-
-
-def test_bus_without_sinks_is_a_noop():
-    bus = LiveEventBus([])
-    bus.emit("run_started", replicas=1)  # must not raise
-    bus.close()
-
-
-def test_memory_sink_records_injected_clock_times():
-    clock = FakeClock(5.0)
-    sink = MemoryLiveSink()
-    bus = LiveEventBus([sink], clock=clock)
-    bus.emit("progress", replicas_done=1)
-    clock.now = 6.5
-    bus.emit("progress", replicas_done=2)
-    assert [r["t_wall"] for r in sink.records] == [5.0, 6.5]
-    assert sink.records[0]["kind"] == "progress"
+    assert [r["t_wall"] for r in records[1:]] == [5.0, 6.5]
 
 
 def test_journal_fsyncs_results_and_the_run_end_at_once(tmp_path, monkeypatch):
@@ -128,20 +114,19 @@ def test_journal_fsyncs_results_and_the_run_end_at_once(tmp_path, monkeypatch):
     )
     path = tmp_path / "run.jsonl"
     journal = _open_journal(path)
-    bus = LiveEventBus([journal])
     for i in range(5):
-        bus.emit("progress", replicas_done=i)
+        journal.emit("progress", replicas_done=i)
     assert fsyncs == []
     # Flushed before close: a reader sees every record already.
     records, skipped = read_journal(path)
     assert len(records) == 6  # header + 5
     assert skipped == 0
     result = ReplicaResult(index=0, value=0, events=0, elapsed_s=0.0, worker="w")
-    bus.emit("chunk_done", chunk=0, **journal.chunk_fields([result]))
+    journal.emit("chunk_done", chunk=0, **journal.chunk_fields([result]))
     assert len(fsyncs) == 1
-    bus.emit("chunk_done", chunk=1, replicas=0)  # no results: amortized
+    journal.emit("chunk_done", chunk=1, replicas=0)  # no results: amortized
     assert len(fsyncs) == 1
-    bus.emit("run_finished", completed=1)
+    journal.emit("run_finished", completed=1)
     assert len(fsyncs) == 2
     journal.close()
 
@@ -201,22 +186,29 @@ def test_read_live_log_missing_file_raises_oserror(tmp_path):
 # -- monitor fold: heartbeats, stragglers, stalls ----------------------------
 
 
-def _monitor(tmp_path, clock, **kwargs):
-    sink = MemoryLiveSink()
-    bus = LiveEventBus([sink], clock=clock)
+def _monitor(tmp_path, clock, *, heartbeats=True, **kwargs):
+    """A monitor writing to a journal in ``tmp_path`` and watching
+    heartbeats there (a pooled run) unless ``heartbeats`` is false.
+    Returns the monitor and a reader of its records so far."""
+    path = tmp_path / "run.jsonl"
+    journal = _open_journal(path)
+    journal.clock = clock
     monitor = LiveRunMonitor(
-        bus, str(tmp_path), clock=clock, **kwargs
+        journal,
+        str(tmp_path) if heartbeats else None,
+        clock=clock,
+        **kwargs,
     )
-    return monitor, sink
+    return monitor, lambda: read_journal(path)[0][1:]
 
 
-def _kinds(sink):
-    return [r["kind"] for r in sink.records if r["kind"] != "live_header"]
+def _kinds(records):
+    return [r["kind"] for r in records()]
 
 
 def test_monitor_emits_heartbeat_only_on_progress(tmp_path):
     clock = FakeClock()
-    monitor, sink = _monitor(tmp_path, clock, replicas_total=4)
+    monitor, records = _monitor(tmp_path, clock, replicas_total=4)
     monitor.chunk_submitted(0, [0, 1], attempt=1)
     stamp_heartbeat(
         monitor.heartbeat_path(0),
@@ -228,65 +220,59 @@ def test_monitor_emits_heartbeat_only_on_progress(tmp_path):
     clock.now += 1.0
     monitor.poll()
     monitor.poll()  # same stamp again: no duplicate heartbeat record
-    beats = [r for r in sink.records if r["kind"] == "worker_heartbeat"]
+    beats = [r for r in records() if r["kind"] == "worker_heartbeat"]
     assert len(beats) == 1
     assert beats[0]["replicas_done"] == 1
     assert beats[0]["events"] == 10
     # Every poll emits a progress record regardless.
-    assert _kinds(sink).count("progress") == 2
+    assert _kinds(records).count("progress") == 2
 
 
 def test_monitor_flags_straggler_once_against_median(tmp_path):
     clock = FakeClock()
-    monitor, sink = _monitor(
-        tmp_path, clock, replicas_total=8, straggler_factor=2.0
-    )
+    monitor, records = _monitor(tmp_path, clock, replicas_total=8)
     # Three completed chunks at 1 s each establish the median.
     for cid in (0, 1, 2):
         monitor.chunk_submitted(cid, [cid], attempt=1)
         clock.now += 1.0
         monitor.chunk_done(cid, worker="pid-1", replicas=1, events=5)
     monitor.chunk_submitted(3, [3], attempt=1)
-    clock.now += 1.5  # 1.5x median: under the 2x factor
+    clock.now += STRAGGLER_FACTOR - 0.5  # under the factor
     assert monitor.poll() == []
-    assert "straggler_suspected" not in _kinds(sink)
-    clock.now += 1.0  # now 2.5x median
+    assert "straggler_suspected" not in _kinds(records)
+    clock.now += 1.0  # now past it
     monitor.poll()
     monitor.poll()  # flagged once, not per tick
     stragglers = [
-        r for r in sink.records if r["kind"] == "straggler_suspected"
+        r for r in records() if r["kind"] == "straggler_suspected"
     ]
     assert len(stragglers) == 1
     assert stragglers[0]["chunk"] == 3
-    assert stragglers[0]["ratio"] > 2.0
+    assert stragglers[0]["ratio"] > STRAGGLER_FACTOR
 
 
 def test_monitor_detects_stall_after_heartbeat_silence(tmp_path):
     clock = FakeClock()
-    monitor, sink = _monitor(
-        tmp_path, clock, replicas_total=4, stall_timeout_s=2.0
-    )
+    monitor, records = _monitor(tmp_path, clock, replicas_total=4)
     monitor.chunk_submitted(0, [0, 1], attempt=1)
-    clock.now += 1.0
+    clock.now += STALL_TIMEOUT_S - 1.0
     assert monitor.poll() == []  # within deadline
-    clock.now += 1.5  # 2.5 s of silence total
+    clock.now += 1.5  # past the deadline
     assert monitor.poll() == [0]
     assert monitor.poll() == []  # suspected once, not per tick
     assert monitor.stall_count == 1
-    stalls = [r for r in sink.records if r["kind"] == "stall_suspected"]
+    stalls = [r for r in records() if r["kind"] == "stall_suspected"]
     assert len(stalls) == 1
     assert stalls[0]["chunk"] == 0
     assert stalls[0]["action"] == "resubmitted"
-    assert stalls[0]["timeout_s"] == 2.0
+    assert stalls[0]["timeout_s"] == STALL_TIMEOUT_S
 
 
 def test_monitor_heartbeat_resets_stall_deadline(tmp_path):
     clock = FakeClock()
-    monitor, _sink = _monitor(
-        tmp_path, clock, replicas_total=4, stall_timeout_s=2.0
-    )
+    monitor, _records = _monitor(tmp_path, clock, replicas_total=4)
     monitor.chunk_submitted(0, [0, 1], attempt=1)
-    clock.now += 1.5
+    clock.now += STALL_TIMEOUT_S - 0.5
     stamp_heartbeat(
         monitor.heartbeat_path(0),
         worker="pid-9",
@@ -295,31 +281,31 @@ def test_monitor_heartbeat_resets_stall_deadline(tmp_path):
         events=1,
     )
     assert monitor.poll() == []  # heartbeat refreshed the deadline
-    clock.now += 1.5
-    assert monitor.poll() == []  # only 1.5 s since last activity
+    clock.now += STALL_TIMEOUT_S - 0.5
+    assert monitor.poll() == []  # still within it since last activity
     clock.now += 1.0
-    assert monitor.poll() == [0]  # 2.5 s of silence now
+    assert monitor.poll() == [0]  # past it now
 
 
 def test_monitor_stall_detection_disabled_with_none(tmp_path):
     clock = FakeClock()
-    monitor, sink = _monitor(
-        tmp_path, clock, replicas_total=2, stall_timeout_s=None
+    monitor, records = _monitor(
+        tmp_path, clock, replicas_total=2, heartbeats=False
     )
     monitor.chunk_submitted(0, [0], attempt=1)
     clock.now += 1e6
     assert monitor.poll() == []
-    assert "stall_suspected" not in _kinds(sink)
+    assert "stall_suspected" not in _kinds(records)
 
 
 def test_monitor_progress_throughput_and_eta(tmp_path):
     clock = FakeClock()
-    monitor, sink = _monitor(tmp_path, clock, replicas_total=4)
+    monitor, records = _monitor(tmp_path, clock, replicas_total=4)
     monitor.chunk_submitted(0, [0, 1], attempt=1)
     clock.now += 2.0
     monitor.chunk_done(0, worker="pid-1", replicas=2, events=10)
     monitor.poll()
-    progress = [r for r in sink.records if r["kind"] == "progress"][-1]
+    progress = [r for r in records() if r["kind"] == "progress"][-1]
     assert progress["replicas_done"] == 2
     assert progress["replicas_total"] == 4
     assert progress["throughput_rps"] == pytest.approx(1.0)
@@ -401,7 +387,7 @@ def test_runner_serial_live_log_end_to_end(tmp_path):
 def test_runner_pool_live_log_reports_pool_workers(tmp_path):
     path = tmp_path / "live.jsonl"
     outcome = ParallelCampaignRunner(
-        double_task, workers=2, chunk_size=1, retry_backoff_s=0.0
+        double_task, workers=2, chunk_size=1
     ).run([None] * 4, root_seed=3, live_log=path)
     assert outcome.value == (0, 2, 4, 6)
     summary, report = monitor_once(path)
@@ -457,24 +443,13 @@ def test_runner_writes_one_journal_record_per_chunk(tmp_path, workers):
     assert "checkpoint_flushed" not in {r["kind"] for r in records}
 
 
-def test_runner_explicit_bus_is_not_closed_by_the_runner(tmp_path):
-    sink = MemoryLiveSink()
-    bus = LiveEventBus([sink])
-    ParallelCampaignRunner(double_task).run([None] * 2, root_seed=0, live=bus)
-    kinds = [r["kind"] for r in sink.records]
-    assert kinds[0] == "run_started"
-    assert kinds[-1] == "run_finished"
-    bus.emit("progress", replicas_done=0)  # caller still owns the bus
-    assert sink.records[-1]["kind"] == "progress"
-
-
-# -- determinism: bus on == bus off ------------------------------------------
+# -- determinism: telemetry on == telemetry off ------------------------------
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_live_bus_does_not_perturb_campaign_digests(tmp_path, workers):
     """Goldens-subset replay: obs counters and the plan digest are
-    bit-identical with the live bus on vs off."""
+    bit-identical with live telemetry on vs off."""
     from repro.faults.campaign import CampaignReplicaSpec
     from repro.runtime.workloads import run_random_campaigns
     from repro.units import ms
@@ -556,10 +531,11 @@ def test_serve_metrics_once_renders_degraded_from_live_log(tmp_path):
     """A run killed mid-flight has no ``run_finished``: the server
     derives progress gauges from the journal so far."""
     live = tmp_path / "live.jsonl"
-    bus = LiveEventBus([_open_journal(live, replicas=9)], clock=FakeClock())
-    bus.emit("run_started", replicas=9, replicas_resumed=0)
-    bus.emit("chunk_done", chunk=0, worker="pid-1", replicas=3, events=30)
-    bus.close()
+    journal = _open_journal(live, replicas=9)
+    journal.clock = FakeClock()
+    journal.emit("run_started", replicas=9, replicas_resumed=0)
+    journal.emit("chunk_done", chunk=0, worker="pid-1", replicas=3, events=30)
+    journal.close()
     started = threading.Event()
     started.port = 0
     thread = threading.Thread(

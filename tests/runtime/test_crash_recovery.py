@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import repro.runtime.runner as runner_module
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.runner import (
     FALLBACK_WORKER,
@@ -39,6 +40,14 @@ _POLL_DEADLINE_S = 30.0
 #: Grace after the last sibling completes, so its future resolves in the
 #: parent (and is drained) before the crasher kills the pool.
 _GRACE_S = 0.5
+
+
+@pytest.fixture
+def fast_retries(monkeypatch):
+    """No backoff sleep between attempts; returns a setter of the
+    runner's retry budget (``MAX_RETRIES``, 2 unless set)."""
+    monkeypatch.setattr(runner_module, "RETRY_BACKOFF_S", 0.0)
+    return lambda n: monkeypatch.setattr(runner_module, "MAX_RETRIES", n)
 
 
 def _mark(base: str, prefix: str, index: int) -> None:
@@ -153,7 +162,9 @@ def sleepy_task(base: str) -> int:
 # -- the duplicate-resubmission regression ---------------------------------
 
 
-def test_crash_amid_completed_siblings_never_duplicates(tmp_path):
+def test_crash_amid_completed_siblings_never_duplicates(
+    tmp_path, fast_retries
+):
     """A worker crash interleaved with completed sibling chunks must
     re-run only the crashed chunk: one result per index, and ``retries``
     counts only the chunk that genuinely re-ran."""
@@ -161,8 +172,6 @@ def test_crash_amid_completed_siblings_never_duplicates(tmp_path):
         batch_crash_task,
         workers=2,
         chunk_size=1,
-        max_retries=2,
-        retry_backoff_s=0.0,
     )
     outcome = runner.run([str(tmp_path)] * 4, root_seed=0)
     assert outcome.value == (0, 1, 2, 3)
@@ -178,15 +187,13 @@ def test_crash_amid_completed_siblings_never_duplicates(tmp_path):
         assert _count(base, "exec", sibling) == 1
 
 
-def test_replica_exception_is_retried_to_success(tmp_path):
+def test_replica_exception_is_retried_to_success(tmp_path, fast_retries):
     """A raising task becomes a ReplicaFailure and is resubmitted; a
     transient failure therefore costs one retry, not the campaign."""
     runner = ParallelCampaignRunner(
         flaky_task,
         workers=2,
         chunk_size=2,
-        max_retries=2,
-        retry_backoff_s=0.0,
     )
     outcome = runner.run([str(tmp_path)] * 4, root_seed=0)
     assert outcome.value == (0, 10, 20, 30)
@@ -199,15 +206,16 @@ def test_replica_exception_is_retried_to_success(tmp_path):
 # -- retry exhaustion: serial policy ---------------------------------------
 
 
-def test_serial_policy_reraises_deterministic_exception(tmp_path):
+def test_serial_policy_reraises_deterministic_exception(
+    tmp_path, fast_retries
+):
     """Under the default policy a permanently-raising replica surfaces
     its real exception (from the parent fallback), not a crash wrapper."""
+    fast_retries(0)
     runner = ParallelCampaignRunner(
         cursed_task,
         workers=2,
         chunk_size=2,
-        max_retries=0,
-        retry_backoff_s=0.0,
     )
     with pytest.raises(ValueError, match="cursed"):
         runner.run([None] * 4, root_seed=0)
@@ -218,17 +226,18 @@ def test_serial_policy_workers1_reraises_after_retries():
         ParallelCampaignRunner(cursed_task).run([None] * 4, root_seed=0)
 
 
-def test_fallback_completes_run_with_distinct_worker_label(tmp_path):
+def test_fallback_completes_run_with_distinct_worker_label(
+    tmp_path, fast_retries
+):
     """When every pool attempt crashes, the parent fallback finishes the
     campaign under its own label — never merged with ``pid-*`` workers
     (a recycled pid could otherwise pollute busy-time accounting)."""
+    fast_retries(0)
     spec = (str(tmp_path), os.getpid())
     runner = ParallelCampaignRunner(
         parent_only_task,
         workers=2,
         chunk_size=2,
-        max_retries=0,
-        retry_backoff_s=0.0,
     )
     outcome = runner.run([spec] * 3, root_seed=0)
     assert outcome.value == (0, 1, 2)
@@ -238,17 +247,18 @@ def test_fallback_completes_run_with_distinct_worker_label(tmp_path):
     assert FALLBACK_WORKER != SERIAL_WORKER
 
 
-def test_fallback_label_never_merges_with_pool_workers(tmp_path):
+def test_fallback_label_never_merges_with_pool_workers(
+    tmp_path, fast_retries
+):
     """Mixed run: one chunk completes in a pool worker, the rest crash
     into the fallback — the metrics keep the two labels separate and the
     busy-time sum still accounts for every executed replica."""
+    fast_retries(0)
     spec = (str(tmp_path), os.getpid())
     runner = ParallelCampaignRunner(
         high_index_crash_task,
         workers=2,
         chunk_size=2,
-        max_retries=0,
-        retry_backoff_s=0.0,
     )
     outcome = runner.run([spec] * 4, root_seed=0)
     assert outcome.value == (0, 1, 2, 3)
@@ -281,7 +291,7 @@ def _failure_records(outcome) -> list[tuple[int, str, int]]:
 
 @pytest.mark.parametrize("policy", ["serial", "salvage"])
 def test_transient_failure_retried_alike_at_every_worker_count(
-    tmp_path, policy
+    tmp_path, policy, fast_retries
 ):
     """A replica that raises once is retried at ``workers=1`` exactly as
     on the pool: same aggregate, completeness and retry count."""
@@ -293,7 +303,6 @@ def test_transient_failure_retried_alike_at_every_worker_count(
             flaky_task,
             workers=workers,
             chunk_size=1,
-            retry_backoff_s=0.0,
             on_exhausted=policy,
         ).run([str(base)] * 4, root_seed=0)
     for outcome in outcomes.values():
@@ -302,16 +311,17 @@ def test_transient_failure_retried_alike_at_every_worker_count(
         assert outcome.metrics.retries == 1
 
 
-def test_deterministic_failure_salvaged_alike_at_every_worker_count():
+def test_deterministic_failure_salvaged_alike_at_every_worker_count(
+    fast_retries,
+):
     """Salvage gives identical failure records and retries for a
     permanently raising replica at ``workers`` 1 and 2."""
+    fast_retries(1)
     outcomes = [
         ParallelCampaignRunner(
             cursed_task,
             workers=workers,
             chunk_size=1,
-            max_retries=1,
-            retry_backoff_s=0.0,
             on_exhausted="salvage",
         ).run([None] * 4, root_seed=0)
         for workers in (1, 2)
@@ -323,19 +333,18 @@ def test_deterministic_failure_salvaged_alike_at_every_worker_count():
     assert serial.metrics.retries == pooled.metrics.retries == 1
 
 
-def test_fallback_chunks_reach_the_live_log(tmp_path):
+def test_fallback_chunks_reach_the_live_log(tmp_path, fast_retries):
     """Chunks finished by the parent fallback are recorded like any
     other chunk, so the monitor sees the run complete."""
     from repro.obs.live import monitor_once
 
+    fast_retries(0)
     path = tmp_path / "live.jsonl"
     spec = (str(tmp_path), os.getpid())
     outcome = ParallelCampaignRunner(
         parent_only_task,
         workers=2,
         chunk_size=1,
-        max_retries=0,
-        retry_backoff_s=0.0,
     ).run([spec] * 4, root_seed=0, live_log=path)
     assert {r.worker for r in outcome.results} == {FALLBACK_WORKER}
     summary, _report = monitor_once(path)
@@ -347,13 +356,12 @@ def test_fallback_chunks_reach_the_live_log(tmp_path):
 # -- retry exhaustion: salvage policy --------------------------------------
 
 
-def test_salvage_partial_outcome_for_deterministic_exception():
+def test_salvage_partial_outcome_for_deterministic_exception(fast_retries):
+    fast_retries(1)
     runner = ParallelCampaignRunner(
         cursed_task,
         workers=2,
         chunk_size=2,
-        max_retries=1,
-        retry_backoff_s=0.0,
         on_exhausted="salvage",
     )
     outcome = runner.run([None] * 4, root_seed=0)
@@ -377,13 +385,14 @@ def test_salvage_partial_outcome_for_deterministic_exception():
     assert outcome.metrics.retries == 1
 
 
-def test_salvage_records_worker_crash_as_structured_failure(tmp_path):
+def test_salvage_records_worker_crash_as_structured_failure(
+    tmp_path, fast_retries
+):
+    fast_retries(1)
     runner = ParallelCampaignRunner(
         always_crash_task,
         workers=2,
         chunk_size=1,
-        max_retries=1,
-        retry_backoff_s=0.0,
         on_exhausted="salvage",
     )
     outcome = runner.run([str(tmp_path)] * 4, root_seed=0)
@@ -429,10 +438,11 @@ def test_on_exhausted_validated():
 # -- worker teardown -------------------------------------------------------
 
 
-def test_shutdown_reports_leaked_workers(tmp_path):
+def test_shutdown_reports_leaked_workers(tmp_path, monkeypatch):
     """A worker stuck in a long task past the shutdown deadline is
     surfaced as a leaked pid instead of being silently left behind."""
-    runner = ParallelCampaignRunner(cursed_task, shutdown_timeout_s=0.1)
+    monkeypatch.setattr(runner_module, "SHUTDOWN_TIMEOUT_S", 0.1)
+    runner = ParallelCampaignRunner(cursed_task)
     ctx = multiprocessing.get_context("spawn")
     executor = ProcessPoolExecutor(max_workers=1, mp_context=ctx)
     try:

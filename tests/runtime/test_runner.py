@@ -126,14 +126,36 @@ def test_validation():
         ParallelCampaignRunner(square_task, workers=MAX_WORKERS + 1)
     with pytest.raises(ValueError):
         ParallelCampaignRunner(square_task, chunk_size=0)
-    with pytest.raises(ValueError):
-        ParallelCampaignRunner(square_task, max_retries=-1)
 
 
 def test_backend_validation():
     """There is one execution path: the runner takes no backend option."""
     with pytest.raises(TypeError, match="backend"):
         ParallelCampaignRunner(square_task, backend="scalar")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("max_retries", 2),
+        ("retry_backoff_s", 0.0),
+        ("shutdown_timeout_s", 5.0),
+        ("stall_timeout_s", 30.0),
+        ("stall_poll_s", 1.0),
+        ("straggler_factor", 4.0),
+    ],
+)
+def test_tuning_knobs_are_constants(name, value):
+    """Retry, shutdown and stall timings are module constants, not
+    runner options."""
+    with pytest.raises(TypeError, match=name):
+        ParallelCampaignRunner(square_task, **{name: value})
+
+
+def test_run_takes_no_live_bus():
+    """The run journal is the only telemetry sink."""
+    with pytest.raises(TypeError, match="live"):
+        ParallelCampaignRunner(square_task).run([0], live=object())
 
 
 # -- parallel path ---------------------------------------------------------
@@ -149,9 +171,7 @@ def test_parallel_equals_serial_toy_task():
 
 
 def test_worker_crash_is_retried(tmp_path):
-    runner = ParallelCampaignRunner(
-        crashy_task, workers=2, chunk_size=1, max_retries=2
-    )
+    runner = ParallelCampaignRunner(crashy_task, workers=2, chunk_size=1)
     outcome = runner.run([str(tmp_path)] * 4, root_seed=0)
     assert outcome.value == (0, 1, 2, 3)
     assert outcome.metrics.retries >= 1

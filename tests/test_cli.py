@@ -274,3 +274,37 @@ def test_unlinkable_live_log_exits_2_before_simulating(capsys, tmp_path):
     assert "second name of the run journal" in captured.err
     assert "plan digest" not in captured.out
     assert taken.is_dir()
+
+
+def test_resume_of_a_copy_leaves_the_recorded_live_log_alone(
+    capsys, tmp_path, monkeypatch
+):
+    """The journal records ``--live-log`` as given, relative to the
+    original run.  Resuming a copy, here or from another directory,
+    keeps telemetry in the copy and never relinks or creates that
+    name; an explicit ``--live-log`` after ``resume`` still aliases."""
+    import os
+
+    monkeypatch.chdir(tmp_path)
+    args = ["--checkpoint", "L.jsonl", "--live-log", "V.jsonl"]
+    assert main([*args, "mc", "--replicas", "2", "--horizon-ms", "100"]) == 0
+    lines = (tmp_path / "L.jsonl").read_text(encoding="utf-8")
+    head = "".join(lines.splitlines(keepends=True)[:3])
+    other = tmp_path / "other"
+    other.mkdir()
+    for copy in (tmp_path / "K.jsonl", other / "K.jsonl"):
+        copy.write_text(head, encoding="utf-8")
+    assert main(["resume", "K.jsonl"]) == 0
+    monkeypatch.chdir(other)
+    assert main(["resume", "K.jsonl"]) == 0
+    capsys.readouterr()
+    assert os.path.samefile(tmp_path / "V.jsonl", tmp_path / "L.jsonl")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "K.jsonl", "L.jsonl", "V.jsonl", "other",
+    ]
+    assert [p.name for p in other.iterdir()] == ["K.jsonl"]
+    assert main(["monitor", "K.jsonl"]) == 0
+    out = capsys.readouterr().out
+    assert "progress: 2/2 replicas (100%), finished" in out
+    assert main(["resume", "K.jsonl", "--live-log", "X.jsonl"]) == 0
+    assert os.path.samefile(other / "X.jsonl", other / "K.jsonl")
